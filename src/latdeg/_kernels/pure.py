@@ -12,9 +12,10 @@ NAME = "pure"
 
 
 class Table:
-    """Prepared multiplication table: rows, inverses, order."""
+    """Prepared multiplication table: rows, inverses, order, and the
+    per-element centralizers, built on first use."""
 
-    __slots__ = ("n", "rows", "inv")
+    __slots__ = ("n", "rows", "inv", "_centralizers", "_group_centralizer")
 
     def __init__(self, rows):
         self.n = len(rows)
@@ -23,6 +24,30 @@ class Table:
         for a, row in enumerate(self.rows):
             inv[a] = row.index(0)
         self.inv = inv
+        self._centralizers: list[int] | None = None
+        self._group_centralizer: dict[int, int] = {}
+
+    def centralizers(self) -> list[int]:
+        """Mask of C_G(a) for every element a."""
+        if self._centralizers is None:
+            rows = self.rows
+            cent = []
+            for a, ra in enumerate(rows):
+                m = 0
+                for b, rb in enumerate(rows):
+                    if ra[b] == rb[a]:
+                        m |= 1 << b
+                cent.append(m)
+            self._centralizers = cent
+        return self._centralizers
+
+    def group_centralizer(self, hmask: int) -> int:
+        """Mask of C_G(H) for the element set ``hmask``, memoized."""
+        out = self._group_centralizer.get(hmask)
+        if out is None:
+            out = centralizer_mask(self, (1 << self.n) - 1, hmask)
+            self._group_centralizer[hmask] = out
+        return out
 
 
 def prepare_table(rows) -> Table:
@@ -37,30 +62,35 @@ def _bits(mask: int):
 
 
 def closure_mask(tab: Table, mask: int) -> int:
-    """Smallest subgroup containing the elements of ``mask``."""
+    """Smallest subgroup containing the elements of ``mask``.
+
+    Reached so far, Dimino style: each element of ``mask`` not yet in the
+    group becomes a generator.  The group H reached before it grows by
+    right cosets H r: a coset representative times a generator that
+    lands outside the group starts a new coset.  Only generators are
+    multiplied, so the cost is O(|J| + [J:H] * #gens) per generator.
+    """
     rows = tab.rows
     members = 1  # identity
     elems = [0]
-    for g in _bits(mask & ~1):
-        members |= 1 << g
-        elems.append(g)
-    i = 0
-    while i < len(elems):
-        x = elems[i]
-        rx = rows[x]
-        j = 0
-        while j < len(elems):
-            y = elems[j]
-            z = rx[y]
-            if not members >> z & 1:
-                members |= 1 << z
-                elems.append(z)
-            z = rows[y][x]
-            if not members >> z & 1:
-                members |= 1 << z
-                elems.append(z)
-            j += 1
-        i += 1
+    gens: list[int] = []
+    rest = mask & ~1
+    while rest:
+        s = (rest & -rest).bit_length() - 1
+        gens.append(s)
+        prev = elems[:]  # the subgroup reached so far
+        reps = [0]
+        for r in reps:  # reps grows while it is scanned
+            rr = rows[r]
+            for t in gens:
+                x = rr[t]
+                if not members >> x & 1:
+                    reps.append(x)
+                    for h in prev:
+                        y = rows[h][x]
+                        members |= 1 << y
+                        elems.append(y)
+        rest &= ~members
     return members
 
 
@@ -76,27 +106,30 @@ def product_mask(tab: Table, amask: int, bmask: int) -> int:
 
 
 def commutator_closure_mask(tab: Table, hmask: int, kmask: int) -> int:
-    """Subgroup generated by all commutators h^-1 k^-1 h k."""
+    """Subgroup generated by all commutators h^-1 k^-1 h k.
+
+    Trivial at once when K lies in C_G(H); otherwise only the pairs that
+    do not commute contribute generators to the closure.
+    """
+    if kmask & ~tab.group_centralizer(hmask) == 0:
+        return 1
     rows = tab.rows
     inv = tab.inv
+    cent = tab.centralizers()
     gens = 1
-    ks = list(_bits(kmask))
     for h in _bits(hmask):
         ih = inv[h]
-        for k in ks:
+        for k in _bits(kmask & ~cent[h]):
             gens |= 1 << rows[rows[rows[ih][inv[k]]][h]][k]
     return closure_mask(tab, gens)
 
 
 def centralizer_mask(tab: Table, kmask: int, hmask: int) -> int:
     """Elements of K commuting with every element of H."""
-    rows = tab.rows
-    hs = list(_bits(hmask))
-    out = 0
-    for k in _bits(kmask):
-        rk = rows[k]
-        if all(rk[h] == rows[h][k] for h in hs):
-            out |= 1 << k
+    cent = tab.centralizers()
+    out = kmask
+    for h in _bits(hmask):
+        out &= cent[h]
     return out
 
 
@@ -117,28 +150,13 @@ def conjugacy_class_ids(tab: Table) -> list:
 
 
 def count_commuting_pairs(tab: Table) -> int:
-    rows = tab.rows
-    n = tab.n
-    total = 0
-    for a in range(n):
-        ra = rows[a]
-        for b in range(n):
-            if ra[b] == rows[b][a]:
-                total += 1
-    return total
+    return sum(c.bit_count() for c in tab.centralizers())
 
 
 def sum_centralizer_orders(tab: Table, hmask: int, kmask: int) -> int:
     """Sum over h in H of |C_K(h)|."""
-    rows = tab.rows
-    ks = list(_bits(kmask))
-    total = 0
-    for h in _bits(hmask):
-        rh = rows[h]
-        for k in ks:
-            if rh[k] == rows[k][h]:
-                total += 1
-    return total
+    cent = tab.centralizers()
+    return sum((cent[h] & kmask).bit_count() for h in _bits(hmask))
 
 
 def count_trivial_iterated_commutators(tab: Table, brackets: int, mask: int) -> int:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from latdeg import _kernels as kernels
 from latdeg import characters, degrees
 from latdeg.arith import is_prime, sigma, tau
 from latdeg.degrees import BudgetExceeded, DEFAULT_TUPLE_BUDGET
@@ -85,6 +86,7 @@ class _Context:
         self._ssd_multi: dict[tuple[int, int, int | None], Fraction] = {}
         self._d_multi: dict[tuple[int, int], Fraction] = {}
         self._normal: list[int] | None = None
+        self._pair_sums: tuple[Fraction, int] | None = None
 
     # -- lattice-level basics -------------------------------------------
 
@@ -130,8 +132,6 @@ class _Context:
         """|C_K(H)| for lattice members by position."""
         key = (k_idx, h_idx)
         if key not in self._cent:
-            from latdeg import _kernels as kernels
-
             self._cent[key] = kernels.centralizer_mask(
                 self.group.ktab,
                 self.lattice[k_idx].mask,
@@ -139,30 +139,32 @@ class _Context:
             ).bit_count()
         return self._cent[key]
 
+    def _centralizer_pair_sums(self) -> tuple[Fraction, int]:
+        """(sum of d(H, K), sum of d(H, K) |H| |K|) over all ordered
+        lattice pairs, from one pass over the unordered pairs."""
+        if self._pair_sums is None:
+            subs = self.lattice.subgroups
+            ktab = self.group.ktab
+            square = self.group.order ** 2  # |H| |K| divides it
+            scaled = weighted = 0
+            for i, h in enumerate(subs):
+                for j in range(i, len(subs)):
+                    k = subs[j]
+                    c = kernels.sum_centralizer_orders(ktab, h.mask, k.mask)
+                    if i != j:
+                        c *= 2
+                    weighted += c
+                    scaled += c * (square // (h.size * k.size))
+            self._pair_sums = (Fraction(scaled, square), weighted)
+        return self._pair_sums
+
     def d_pair_sum(self) -> Fraction:
         """Sum of d(H, K) over all ordered lattice pairs."""
-        total = Fraction(0)
-        subs = self.lattice.subgroups
-        for i, h in enumerate(subs):
-            for j in range(i, len(subs)):
-                k = subs[j]
-                value = degrees.d_pair(self.group, h, k)
-                total += value if i == j else 2 * value
-        return total
+        return self._centralizer_pair_sums()[0]
 
     def weighted_cent_sum(self) -> int:
         """Sum over ordered pairs of d(H, K) |H| |K|, an integer."""
-        from latdeg import _kernels as kernels
-
-        subs = self.lattice.subgroups
-        total = 0
-        for i, h in enumerate(subs):
-            for j in range(i, len(subs)):
-                c = kernels.sum_centralizer_orders(
-                    self.group.ktab, h.mask, subs[j].mask
-                )
-                total += c if i == j else 2 * c
-        return total
+        return self._centralizer_pair_sums()[1]
 
     # -- derived data ----------------------------------------------------
 

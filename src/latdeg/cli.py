@@ -261,38 +261,54 @@ def _verify_csv(results: list[dict]) -> str:
     return buf.getvalue()
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
+def _error(message: object, code: int) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
+def _failure(exc: ValueError) -> int:
+    if isinstance(exc, (OrderCapExceeded, BudgetExceeded)):
+        return _error(exc, EXIT_BUDGET)
+    return _error(exc, EXIT_USAGE)
+
+
+def _settings(args: argparse.Namespace) -> int:
+    """Effective order cap; ValueError on a bad --n-max or cap setting."""
+    if args.n_max < 0:
+        raise ValueError(f"--n-max must be at least 0, got {args.n_max}")
+    return order_cap(args.order_cap)
+
+
+def _emit(text: str, out_path: str | None) -> int:
+    if not out_path:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def cmd_degrees(args: argparse.Namespace) -> int:
-    cap = order_cap(args.order_cap)
-    try:
-        specs = [parse_group_spec(text) for text in args.group]
-        entries = [_degrees_entry(spec, args.n_max, cap) for spec in specs]
-    except (GroupSpecError, ValueError) as exc:
-        if isinstance(exc, (OrderCapExceeded, BudgetExceeded)):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BUDGET
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.format == "json":
-        _emit(json.dumps(entries, indent=2) + "\n", args.out)
-    else:
-        _emit(_degrees_csv(entries, args.n_max), args.out)
+    except OSError as exc:
+        return _error(f"cannot write {out_path}: {exc.strerror or exc}", EXIT_USAGE)
     return EXIT_OK
 
 
+def cmd_degrees(args: argparse.Namespace) -> int:
+    try:
+        cap = _settings(args)
+        specs = [parse_group_spec(text) for text in args.group]
+        entries = [_degrees_entry(spec, args.n_max, cap) for spec in specs]
+    except ValueError as exc:
+        return _failure(exc)
+    if args.format == "json":
+        return _emit(json.dumps(entries, indent=2) + "\n", args.out)
+    return _emit(_degrees_csv(entries, args.n_max), args.out)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    cap = order_cap(args.order_cap)
     claim_filter = None
     if args.claims:
         claim_filter = [c.strip() for c in args.claims.split(",") if c.strip()]
     try:
+        cap = _settings(args)
         if args.all_up_to is not None:
             groups = claims.builtin_groups_up_to(args.all_up_to, cap=cap)
         else:
@@ -302,17 +318,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
             claim_filter=claim_filter,
             params={"n_max": args.n_max, "order_cap": cap},
         )
-    except (GroupSpecError, ValueError) as exc:
-        if isinstance(exc, (OrderCapExceeded, BudgetExceeded)):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BUDGET
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except ValueError as exc:
+        return _failure(exc)
     results = [_result_obj(r) for r in report.results]
     if args.format == "json":
-        _emit(json.dumps(results, indent=2) + "\n", args.out)
+        code = _emit(json.dumps(results, indent=2) + "\n", args.out)
     else:
-        _emit(_verify_csv(results), args.out)
+        code = _emit(_verify_csv(results), args.out)
+    if code != EXIT_OK:
+        return code
     return EXIT_OK if report.all_hold else EXIT_CLAIM_FAILED
 
 

@@ -72,39 +72,15 @@ def phi(g: Group, x: Subgroup, y: Subgroup) -> int:
 def phi_rows(g: Group, lat: Lattice) -> tuple[int, ...]:
     """Row i is a bitmask over lattice positions j with [L_i, L_j] = 1.
 
-    Computed once per lattice and cached; every ssd-style count reads it.
+    Built once per lattice from the centralizers; every ssd-style count
+    reads it.
     """
-    if lat._phi_rows is None:
-        size = len(lat)
-        rows = [0] * size
-        for i, h in enumerate(lat.subgroups):
-            for j in range(i, size):
-                k = lat.subgroups[j]
-                if (
-                    kernels.sum_centralizer_orders(g.ktab, h.mask, k.mask)
-                    == h.size * k.size
-                ):
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-        lat._phi_rows = tuple(rows)
-    return lat._phi_rows
+    return lat.phi_rows
 
 
 def perm_rows(g: Group, lat: Lattice) -> tuple[int, ...]:
     """Row i is a bitmask over lattice positions j with L_i L_j = L_j L_i."""
-    if lat._perm_rows is None:
-        size = len(lat)
-        rows = [0] * size
-        for i, h in enumerate(lat.subgroups):
-            for j in range(i, size):
-                k = lat.subgroups[j]
-                hk = kernels.product_mask(g.ktab, h.mask, k.mask)
-                kh = kernels.product_mask(g.ktab, k.mask, h.mask)
-                if hk == kh:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-        lat._perm_rows = tuple(rows)
-    return lat._perm_rows
+    return lat.perm_rows
 
 
 def sd_group(g: Group, lat: Lattice) -> Fraction:
@@ -143,19 +119,7 @@ def bracket_table(g: Group, lat: Lattice) -> BracketTable:
     row subgroup), without assuming symmetry; [A,B] = [B,A] holds
     group-theoretically and is asserted by the test suite instead.
     """
-    if lat._bracket is None:
-        ktab = g.ktab
-        masks = [s.mask for s in lat.subgroups]
-        index_of = lat.index_of
-        entries = tuple(
-            tuple(
-                index_of[kernels.commutator_closure_mask(ktab, hm, km)]
-                for km in masks
-            )
-            for hm in masks
-        )
-        lat._bracket = BracketTable(entries)
-    return lat._bracket
+    return BracketTable(lat.brackets)
 
 
 def ssd_multi(

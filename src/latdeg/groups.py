@@ -31,7 +31,12 @@ def order_cap(cap: int | None = None) -> int:
         return cap
     env = os.environ.get(ORDER_CAP_ENV)
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(
+                f"{ORDER_CAP_ENV} must be an integer, got {env!r}"
+            ) from None
     return DEFAULT_ORDER_CAP
 
 
@@ -39,6 +44,16 @@ def _check_cap(order: int, cap: int | None, what: str) -> None:
     limit = order_cap(cap)
     if order > limit:
         raise OrderCapExceeded(f"{what} has order {order}, above the cap {limit}")
+
+
+def bit_positions(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -62,13 +77,7 @@ class Subgroup:
         return cls(mask=mask, size=mask.bit_count(), parent_order=parent_order)
 
     def members(self) -> list[int]:
-        out = []
-        m = self.mask
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return out
+        return bit_positions(self.mask)
 
     def __contains__(self, element: int) -> bool:
         return 0 <= element < self.parent_order and bool(self.mask >> element & 1)

@@ -1,15 +1,26 @@
 """Complete subgroup lattices and subgroup-level primitives.
 
-Enumeration seeds with all cyclic subgroups and joins pairs to a
-fixpoint.  The canonical order is ascending size with ties broken by
+Enumeration is by cyclic extension: the seeds are the cyclic subgroups,
+and every member found is joined with each cyclic seed it does not
+contain.  The canonical order is ascending size with ties broken by
 the lexicographic order of the membership bit sequence (element 0
 first), so lattice positions and every derived report are stable.
+
+A :class:`Lattice` owns the data derived from its order relation: the
+up-set and down-set of every member, joins, and the permutability,
+commuting and bracket tables, each built on first use.
 """
 
 from __future__ import annotations
 
 from latdeg import _kernels as kernels
-from latdeg.groups import Group, OrderCapExceeded, Subgroup, order_cap
+from latdeg.groups import (
+    Group,
+    OrderCapExceeded,
+    Subgroup,
+    bit_positions,
+    order_cap,
+)
 
 
 def _lex_key(mask: int, n: int) -> int:
@@ -18,7 +29,10 @@ def _lex_key(mask: int, n: int) -> int:
 
 
 class Lattice:
-    """All subgroups of a group in canonical order, with index lookup."""
+    """All subgroups of a group in canonical order, with index lookup.
+
+    Rows and sets over members are bitmasks over lattice positions.
+    """
 
     def __init__(self, group: Group, subgroups: list[Subgroup]):
         n = group.order
@@ -30,10 +44,11 @@ class Lattice:
             raise ValueError("duplicate subgroups in lattice")
         if ordered[0].size != 1 or ordered[-1].size != n:
             raise ValueError("lattice must contain the trivial and full subgroups")
-        # caches filled lazily by the degrees module
-        self._phi_rows: tuple[int, ...] | None = None
+        self._up: tuple[int, ...] | None = None
+        self._down: tuple[int, ...] | None = None
         self._perm_rows: tuple[int, ...] | None = None
-        self._bracket = None
+        self._phi_rows: tuple[int, ...] | None = None
+        self._brackets: tuple[tuple[int, ...], ...] | None = None
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -50,16 +65,118 @@ class Lattice:
         except KeyError:
             raise ValueError("subgroup is not a member of this lattice") from None
 
+    def _order_relation(self) -> None:
+        # holders[e] is the set of members containing element e; L_j >= L_i
+        # iff L_j holds every element of L_i, and L_j <= L_i iff it holds
+        # no element outside L_i
+        holders = [0] * self.group.order
+        for i, s in enumerate(self.subgroups):
+            for e in s.members():
+                holders[e] |= 1 << i
+        everyone = (1 << len(self.subgroups)) - 1
+        up, down = [], []
+        for s in self.subgroups:
+            above, outside = everyone, 0
+            for e, holding in enumerate(holders):
+                if s.mask >> e & 1:
+                    above &= holding
+                else:
+                    outside |= holding
+            up.append(above)
+            down.append(everyone & ~outside)
+        self._up, self._down = tuple(up), tuple(down)
+
+    @property
+    def up(self) -> tuple[int, ...]:
+        """up[i]: the members containing L_i."""
+        if self._up is None:
+            self._order_relation()
+        return self._up
+
+    @property
+    def down(self) -> tuple[int, ...]:
+        """down[i]: the members contained in L_i."""
+        if self._down is None:
+            self._order_relation()
+        return self._down
+
+    def join(self, i: int, j: int) -> int:
+        """Position of L_i v L_j: the smallest, hence lowest, common upper
+        bound."""
+        common = self.up[i] & self.up[j]
+        return (common & -common).bit_length() - 1
+
     def sublattice_indices(self, top: Subgroup) -> tuple[int, ...]:
-        """Positions of all members contained in ``top``."""
-        return tuple(
-            i for i, s in enumerate(self.subgroups) if s.mask & ~top.mask == 0
-        )
+        """Positions of all members contained in the member ``top``."""
+        return tuple(bit_positions(self.down[self.index(top)]))
+
+    @property
+    def perm_rows(self) -> tuple[int, ...]:
+        """Row i: the members L_j with L_i L_j = L_j L_i.
+
+        Comparable and commuting pairs permute.  For the rest, HK is a
+        subgroup, hence H v K, exactly when |HK| = |H||K|/|H n K| equals
+        |H v K|, so a pair permutes iff |H||K| = |H n K||H v K|.
+        """
+        if self._perm_rows is None:
+            up, down, phi = self.up, self.down, self.phi_rows
+            masks = [s.mask for s in self.subgroups]
+            sizes = [s.size for s in self.subgroups]
+            everyone = (1 << len(masks)) - 1
+            rows = [0] * len(masks)
+            for i, (mi, si) in enumerate(zip(masks, sizes)):
+                # known is symmetric in (i, j); only pairs j > i are tested
+                known = up[i] | down[i] | phi[i]
+                rows[i] |= known
+                later = everyone & ~((2 << i) - 1)
+                for j in bit_positions(later & ~known):
+                    common = (mi & masks[j]).bit_count()
+                    if si * sizes[j] == common * sizes[self.join(i, j)]:
+                        rows[i] |= 1 << j
+                        rows[j] |= 1 << i
+            self._perm_rows = tuple(rows)
+        return self._perm_rows
+
+    @property
+    def phi_rows(self) -> tuple[int, ...]:
+        """Row i: the members L_j with [L_i, L_j] = 1, that is the members
+        contained in C_G(L_i)."""
+        if self._phi_rows is None:
+            ktab = self.group.ktab
+            full = (1 << self.group.order) - 1
+            self._phi_rows = tuple(
+                self.down[self.index_of[kernels.centralizer_mask(ktab, full, s.mask)]]
+                for s in self.subgroups
+            )
+        return self._phi_rows
+
+    @property
+    def brackets(self) -> tuple[tuple[int, ...], ...]:
+        """brackets[i][j]: the position of [L_i, L_j], each entry computed
+        as written (generators [h, k] with h from L_i)."""
+        if self._brackets is None:
+            ktab = self.group.ktab
+            masks = [s.mask for s in self.subgroups]
+            index_of = self.index_of
+            self._brackets = tuple(
+                tuple(
+                    index_of[kernels.commutator_closure_mask(ktab, hm, km)]
+                    for km in masks
+                )
+                for hm in masks
+            )
+        return self._brackets
 
 
 def enumerate_subgroups(g: Group, *, cap: int | None = None) -> Lattice:
-    """Every subgroup of ``g``: cyclic seeds, then pairwise joins to a
-    fixpoint."""
+    """Every subgroup of ``g`` by cyclic extension.
+
+    The seeds are the cyclic subgroups <a>.  Every subgroup is a join of
+    cyclic ones, so joining each member with each cyclic seed reaches
+    the whole lattice.  A seed is joined with the seeds found before it
+    only, so each pair of seeds is closed once; later members are joined
+    with every seed that neither contains nor lies in them.
+    """
     if g.order > order_cap(cap):
         raise OrderCapExceeded(
             f"{g.label} has order {g.order}, above the cap {order_cap(cap)}"
@@ -67,24 +184,25 @@ def enumerate_subgroups(g: Group, *, cap: int | None = None) -> Lattice:
     ktab = g.ktab
     masks: list[int] = [1]
     seen = {1}
+    seeds: list[tuple[int, int]] = []  # (mask of <a>, a)
     for a in range(1, g.order):
         m = kernels.closure_mask(ktab, 1 << a)
         if m not in seen:
             seen.add(m)
             masks.append(m)
-    # worklist of unordered index pairs not yet joined
-    work = [(i, j) for i in range(len(masks)) for j in range(i)]
-    while work:
-        i, j = work.pop()
-        a, b = masks[i], masks[j]
-        if a | b in (a, b):
-            continue
-        joined = kernels.closure_mask(ktab, a | b)
-        if joined not in seen:
-            seen.add(joined)
-            masks.append(joined)
-            k = len(masks) - 1
-            work.extend((k, t) for t in range(k))
+            seeds.append((m, a))
+    # masks[k] for 1 <= k <= len(seeds) is seeds[k - 1]
+    k = 1
+    while k < len(masks):
+        h = masks[k]
+        for c, a in seeds[: min(k - 1, len(seeds))]:
+            if h | c in (h, c):
+                continue
+            joined = kernels.closure_mask(ktab, h | 1 << a)
+            if joined not in seen:
+                seen.add(joined)
+                masks.append(joined)
+        k += 1
     subs = [Subgroup.from_mask(m, g.order) for m in masks]
     return Lattice(g, subs)
 

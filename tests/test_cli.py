@@ -155,3 +155,37 @@ def test_out_file(tmp_path):
     assert code == 0 and out == ""
     entry = json.loads(target.read_text())[0]
     assert entry["group"] == "C(6)"
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize(
+    "argv", [["degrees", "-g", "C(4)"], ["verify", "-g", "C(4)", "--claims", "C1"]]
+)
+def test_bad_order_cap_setting_exits_2(argv, monkeypatch, capsys):
+    monkeypatch.setenv("LATDEG_ORDER_CAP", "abc")
+    assert run_cli(argv) == (2, "")
+    assert "LATDEG_ORDER_CAP" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv", [["degrees", "-g", "C(4)"], ["verify", "-g", "C(4)", "--claims", "C1"]]
+)
+def test_unwritable_out_exits_2(argv, tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert run_cli([*argv, "--out", str(target)]) == (2, "")
+    assert str(target) in _one_line_error(capsys)
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["degrees", "-g", "C(4)"], ["verify", "-g", "C(4)", "--claims", "C1"]]
+)
+def test_negative_n_max_exits_2(argv, capsys):
+    assert run_cli([*argv, "--n-max", "-1"]) == (2, "")
+    assert "--n-max" in _one_line_error(capsys)
+    assert run_cli([*argv, "--n-max", "0"])[0] == 0
