@@ -1,62 +1,25 @@
-"""Kernel backend selection.
+"""Kernels over multiplication tables and element bitmasks.
 
-The compiled extension (``latdeg._kernels._fast``) is preferred when it
-built successfully; otherwise the pure-Python kernels are used.  Set
-``LATDEG_BACKEND=pure`` or ``LATDEG_BACKEND=fast`` to force a backend.
+The kernels live in :mod:`latdeg._kernels.pure`.  The rest of latdeg calls
+them through this package (``kernels.closure_mask(...)``), so a name
+rebound here, as perfbench/layertrace.py does for the length of a traced
+run, reaches every call; calls made inside ``pure`` are not rebound.
 """
 
 from __future__ import annotations
 
-import os
+from latdeg._kernels.pure import (
+    centralizer_mask,
+    closure_mask,
+    commutator_closure_mask,
+    conjugacy_class_ids,
+    count_commuting_pairs,
+    count_trivial_iterated_commutators,
+    is_associative,
+    is_normal_mask,
+    prepare_table,
+    product_mask,
+    sum_centralizer_orders,
+)
 
-_forced = os.environ.get("LATDEG_BACKEND", "").strip().lower()
-
-if _forced == "pure":
-    from latdeg._kernels import pure as _impl
-elif _forced == "fast":
-    from latdeg._kernels import _fast as _impl  # type: ignore[no-redef]
-elif _forced:
-    raise ValueError(f"unknown LATDEG_BACKEND {_forced!r} (expected 'pure' or 'fast')")
-else:
-    try:
-        from latdeg._kernels import _fast as _impl  # type: ignore[no-redef]
-    except ImportError:
-        from latdeg._kernels import pure as _impl  # type: ignore[no-redef]
-
-BACKEND = _impl.NAME
-
-prepare_table = _impl.prepare_table
-closure_mask = _impl.closure_mask
-product_mask = _impl.product_mask
-commutator_closure_mask = _impl.commutator_closure_mask
-centralizer_mask = _impl.centralizer_mask
-conjugacy_class_ids = _impl.conjugacy_class_ids
-count_commuting_pairs = _impl.count_commuting_pairs
-sum_centralizer_orders = _impl.sum_centralizer_orders
-count_trivial_iterated_commutators = _impl.count_trivial_iterated_commutators
-is_associative = _impl.is_associative
-is_normal_mask = _impl.is_normal_mask
-
-
-def get_backend(name: str):
-    """Return a backend module by name ('pure' or 'fast')."""
-    if name == "pure":
-        from latdeg._kernels import pure
-
-        return pure
-    if name == "fast":
-        from latdeg._kernels import _fast
-
-        return _fast
-    raise ValueError(f"unknown backend {name!r}")
-
-
-def available_backends() -> list[str]:
-    names = ["pure"]
-    try:
-        from latdeg._kernels import _fast  # noqa: F401
-
-        names.append("fast")
-    except ImportError:
-        pass
-    return names
+BACKEND = "pure"

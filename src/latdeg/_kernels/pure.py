@@ -2,13 +2,10 @@
 
 Element sets are arbitrary-precision ints with bit ``i`` standing for
 element ``i``.  Every function takes a prepared table handle as returned
-by :func:`prepare_table`.  The compiled backend in ``_fast`` implements
-the same signatures.
+by :func:`prepare_table`.
 """
 
 from __future__ import annotations
-
-NAME = "pure"
 
 
 class Table:
@@ -161,27 +158,29 @@ def sum_centralizer_orders(tab: Table, hmask: int, kmask: int) -> int:
 
 def count_trivial_iterated_commutators(tab: Table, brackets: int, mask: int) -> int:
     """Tuples (x_1..x_{brackets+1}) from ``mask`` whose left-normed
-    iterated commutator is the identity."""
-    rows = tab.rows
-    inv = tab.inv
-    n = tab.n
-    elems = list(_bits(mask))
-    ctab = []
-    for a in range(n):
-        ia = inv[a]
-        ria = rows[ia]
-        ctab.append([rows[rows[ria[inv[b]]][a]][b] for b in range(n)])
-    last = brackets  # depth of the final element
+    iterated commutator is the identity.
 
-    def rec(depth: int, acc: int) -> int:
-        row = ctab[acc]
-        if depth == last:
-            return sum(1 for e in elems if row[e] == 0)
-        return sum(rec(depth + 1, row[e]) for e in elems)
-
+    Folds over commutator values rather than tuples: ``counts`` maps each
+    value of [x_1, ..., x_i] to the number of prefixes reaching it, and
+    the last entry is counted at once, since [a, x] = 1 iff x is in
+    C_G(a).
+    """
     if brackets == 0:
         return 1 if mask & 1 else 0
-    return sum(rec(1, e) for e in elems)
+    rows = tab.rows
+    inv = tab.inv
+    cent = tab.centralizers()
+    elems = list(_bits(mask))
+    counts = {e: 1 for e in elems}
+    for _ in range(brackets - 1):
+        folded: dict[int, int] = {}
+        for a, c in counts.items():
+            ria = rows[inv[a]]
+            for e in elems:
+                t = rows[rows[ria[inv[e]]][a]][e]
+                folded[t] = folded.get(t, 0) + c
+        counts = folded
+    return sum(c * (cent[a] & mask).bit_count() for a, c in counts.items())
 
 
 def is_associative(tab: Table) -> bool:

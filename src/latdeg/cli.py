@@ -279,9 +279,30 @@ def _settings(args: argparse.Namespace) -> int:
     return order_cap(args.order_cap)
 
 
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to stdout in full.
+
+    A pipe write cut short by a stop signal (SIGSTOP or job control,
+    then SIGCONT) makes ``BufferedWriter.write`` return a short count,
+    which ``TextIOWrapper.write`` ignores, so a long report would lose
+    its tail.  The encoded report therefore goes to the binary buffer in
+    a loop that resumes after each short write.
+    """
+    stream = sys.stdout
+    buffer = getattr(stream, "buffer", None)
+    if buffer is None:  # an in-memory stream, as under redirect_stdout
+        stream.write(text)
+        return
+    stream.flush()
+    data = memoryview(text.encode(stream.encoding, stream.errors))
+    while data:
+        data = data[buffer.write(data) :]
+    buffer.flush()
+
+
 def _emit(text: str, out_path: str | None) -> int:
     if not out_path:
-        sys.stdout.write(text)
+        _write_stdout(text)
         return EXIT_OK
     try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:

@@ -18,7 +18,8 @@ MULTI_N_CAP = 4
 
 
 class BudgetExceeded(ValueError):
-    """Raised when a tuple enumeration would exceed its element budget."""
+    """Raised when a degree ranges over more tuples, or a deeper bracket,
+    than its budget allows."""
 
 
 def d_group(g: Group) -> Fraction:
@@ -42,7 +43,13 @@ def d_multi(
     budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> Fraction:
     """Probability that the left-normed commutator of an (n+1)-tuple of
-    elements is trivial, by direct tuple enumeration.
+    elements is trivial.
+
+    The count folds over commutator values (as :func:`ssd_multi` folds
+    over subgroups), so it costs about |values| * |K| per bracket rather
+    than |K|^(n+1).  ``budget`` still bounds the |K|^(n+1) tuples the
+    degree ranges over, so the inputs that raise ``BudgetExceeded`` are
+    the same as under direct enumeration.
 
     ``within`` restricts the tuple entries to a subgroup (the commutator
     values then stay inside it).

@@ -3,10 +3,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
 
+import latdeg
 from latdeg import cli
 
 
@@ -189,3 +193,45 @@ def test_negative_n_max_exits_2(argv, capsys):
     assert run_cli([*argv, "--n-max", "-1"]) == (2, "")
     assert "--n-max" in _one_line_error(capsys)
     assert run_cli([*argv, "--n-max", "0"])[0] == 0
+
+
+def test_stale_backend_variable_is_ignored():
+    # there is one kernel backend; an old LATDEG_BACKEND setting must not
+    # change or break a run
+    env = {k: v for k, v in os.environ.items() if k != "LATDEG_BACKEND"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(latdeg.__file__))
+    argv = [sys.executable, "-m", "latdeg.cli", "degrees", "-g", "S(3)"]
+    plain = subprocess.run(argv, capture_output=True, text=True, env=env)
+    stale = subprocess.run(
+        argv, capture_output=True, text=True, env={**env, "LATDEG_BACKEND": "bogus"}
+    )
+    assert (stale.returncode, stale.stderr) == (0, "")
+    assert stale.stdout == plain.stdout
+    assert plain.returncode == 0 and json.loads(plain.stdout)[0]["group"] == "S(3)"
+
+
+class _ShortWrites(io.BufferedIOBase):
+    """A binary stream that takes at most 100 bytes per write, as a pipe
+    write cut short by a stop signal does."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        n = min(len(b), 100)
+        self.data += bytes(b[:n])
+        return n
+
+
+def test_report_survives_short_writes(monkeypatch):
+    argv = ["degrees", "-g", "S(4)"]
+    expected = run_cli(argv)[1]
+    sink = _ShortWrites()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(sink, encoding="utf-8"))
+    assert cli.main(argv) == 0
+    sys.stdout.flush()
+    assert len(expected) > 100
+    assert sink.data.decode("utf-8") == expected

@@ -13,10 +13,11 @@ import oracles
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latdeg import _kernels as kernels
 from latdeg import claims, degrees, direct_product, enumerate_subgroups
-from latdeg._kernels import get_backend
 
 MAX_ORDER = 48
+ORACLE_TUPLES = 200_000
 FACTORS = {g.label: g for g in claims.builtin_groups_up_to(24) if g.order > 1}
 
 few = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -55,13 +56,13 @@ def _mask(elements) -> int:
 @given(labels=group_labels(), data=st.data())
 def test_closure_mask_matches_oracle_on_any_mask(labels, data):
     group, _ = group_and_lattice(labels)
-    pure = get_backend("pure")
-    tab = pure.prepare_table(group.table)
-    assert pure.closure_mask(tab, 0) == 1
+    tab = kernels.prepare_table(group.table)
+    assert kernels.closure_mask(tab, 0) == 1
+    assert kernels.closure_mask(tab, 1) == 1
     for _ in range(5):
         mask = data.draw(st.integers(0, (1 << group.order) - 1))
         expected = _mask(oracles.closure(group.table, _set(mask)))
-        assert pure.closure_mask(tab, mask) == expected
+        assert kernels.closure_mask(tab, mask) == expected
 
 
 @few
@@ -117,3 +118,25 @@ def test_bracket_table_matches_oracle_and_is_symmetric(labels):
             assert table.entry(i, j) == table.entry(j, i)
             expected = oracles.commutator_subgroup(group.table, h, k)
             assert lat[table.entry(i, j)].mask == _mask(expected)
+
+
+@few
+@given(labels=group_labels())
+def test_d_group_matches_oracle(labels):
+    group, _ = group_and_lattice(labels)
+    assert degrees.d_group(group) == oracles.d(group.table)
+
+
+@few
+@given(labels=group_labels(), data=st.data())
+def test_d_multi_matches_oracle_on_group_and_member(labels, data):
+    group, lat = group_and_lattice(labels)
+    member = lat[data.draw(st.integers(0, len(lat) - 1))]
+    for n in (1, 2, 3):
+        # the oracle enumerates |K|^(n+1) tuples; n = 3 only for |K| <= 21
+        if group.order ** (n + 1) <= ORACLE_TUPLES:
+            assert degrees.d_multi(group, n) == oracles.d_multi(group.table, n)
+        if member.size ** (n + 1) <= ORACLE_TUPLES:
+            assert degrees.d_multi(group, n, within=member) == oracles.d_multi(
+                group.table, n, _set(member.mask)
+            )
