@@ -24,14 +24,14 @@ from latdeg.groups import (
     Group,
     OrderCapExceeded,
     Subgroup,
+    bit_positions,
     make_cyclic,
     make_dihedral,
     make_modular,
     make_quaternion,
     make_symmetric,
-    quotient,
 )
-from latdeg.lattice import enumerate_subgroups, normal_subgroups
+from latdeg.lattice import Lattice, enumerate_subgroups, normal_subgroups
 
 DEFAULT_N_MAX = 3
 
@@ -87,6 +87,7 @@ class _Context:
         self._d_multi: dict[tuple[int, int], Fraction] = {}
         self._normal: list[int] | None = None
         self._pair_sums: tuple[Fraction, int] | None = None
+        self._factors: tuple[list | None, str | None] | None = None
 
     # -- lattice-level basics -------------------------------------------
 
@@ -100,24 +101,12 @@ class _Context:
     def perm_rows(self) -> tuple[int, ...]:
         return degrees.perm_rows(self.group, self.lattice)
 
-    def dom_mask(self, indices) -> int:
-        m = 0
-        for i in indices:
-            m |= 1 << i
-        return m
-
-    def ssd_of(self, indices) -> Fraction:
-        """ssd of a subgroup, computed on its sublattice inside the parent."""
-        rows = self.phi_rows()
-        dmask = self.dom_mask(indices)
-        count = sum((rows[i] & dmask).bit_count() for i in indices)
-        return Fraction(count, len(indices) ** 2)
-
-    def sd_of(self, indices) -> Fraction:
-        rows = self.perm_rows()
-        dmask = self.dom_mask(indices)
-        count = sum((rows[i] & dmask).bit_count() for i in indices)
-        return Fraction(count, len(indices) ** 2)
+    def sub_degree(self, rows: tuple[int, ...], i: int) -> Fraction:
+        """The pair density of ``rows`` on the sublattice below L_i:
+        ssd(L_i) from ``phi_rows()``, sd(L_i) from ``perm_rows()``."""
+        below = self.lattice.down[i]
+        count = sum((rows[j] & below).bit_count() for j in bit_positions(below))
+        return Fraction(count, below.bit_count() ** 2)
 
     def ssd(self) -> Fraction:
         return degrees.ssd_group(self.group, self.lattice)
@@ -175,11 +164,16 @@ class _Context:
         return self._normal
 
     def quotient_stats(self, n_idx: int) -> tuple[int, Fraction]:
-        """(lattice size, ssd) of the quotient by a normal member."""
+        """(lattice size, ssd) of the quotient by a normal member N, read
+        off the parent lattice: by the correspondence theorem L(G/N) is
+        the up-set of N, and [H/N, K/N] = 1 iff [H, K] <= N."""
         if n_idx not in self._quotients:
-            q = quotient(self.group, self.lattice[n_idx])
-            qlat = enumerate_subgroups(q, cap=self.cap)
-            self._quotients[n_idx] = (len(qlat), degrees.ssd_group(q, qlat))
+            lat = self.lattice
+            brackets = degrees.bracket_table(self.group, lat).entries
+            above = bit_positions(lat.up[n_idx])
+            inside = lat.down[n_idx]
+            count = sum(inside >> brackets[i][j] & 1 for i in above for j in above)
+            self._quotients[n_idx] = (len(above), Fraction(count, len(above) ** 2))
         return self._quotients[n_idx]
 
     def ssd_multi(self, h: Subgroup, n: int, codomain: Subgroup | None = None) -> Fraction:
@@ -197,6 +191,17 @@ class _Context:
                 self.group, n, within=self.lattice[k_idx], budget=self.tuple_budget
             )
         return self._d_multi[key]
+
+    def coprime_factors(self) -> tuple[list[tuple[Group, Lattice]] | None, str | None]:
+        """((factor, factor lattice) pairs, None) when the group is a
+        direct product of pairwise coprime factors, else (None, reason).
+        Each factor lattice is enumerated once per context."""
+        if self._factors is None:
+            factors, reason = _coprime_factors(self.group)
+            if factors is not None:
+                factors = [(f, enumerate_subgroups(f, cap=self.cap)) for f in factors]
+            self._factors = (factors, reason)
+        return self._factors
 
     def is_cyclic_subgroup(self, s: Subgroup) -> bool:
         return any(self.group.order_of(a) == s.size for a in s.members())
@@ -309,10 +314,8 @@ def _c3(ctx: _Context):
 
 
 def _c4_bound(ctx: _Context, n_idx: int, middle_from_quotient: bool) -> Fraction:
-    lat = ctx.lattice
-    dom = lat.sublattice_indices(lat[n_idx])
-    l_n = len(dom)
-    ssd_n = ctx.ssd_of(dom)
+    l_n = ctx.lattice.down[n_idx].bit_count()
+    ssd_n = ctx.sub_degree(ctx.phi_rows(), n_idx)
     l_q, ssd_q = ctx.quotient_stats(n_idx)
     middle = ssd_q if middle_from_quotient else ssd_n
     return (
@@ -359,14 +362,13 @@ def _c5(ctx: _Context):
     produced = False
     for n_idx in ctx.normal_indices():
         sub = ctx.lattice[n_idx]
-        dom = ctx.lattice.sublattice_indices(sub)
-        if ctx.ssd_of(dom) != 1:
+        if ctx.sub_degree(ctx.phi_rows(), n_idx) != 1:
             continue
         l_q, ssd_q = ctx.quotient_stats(n_idx)
         if ssd_q != 1:
             continue
         produced = True
-        l_n = len(dom)
+        l_n = ctx.lattice.down[n_idx].bit_count()
         rhs = Fraction((l_n + l_q - 1) ** 2, ctx.size**2)
         unsquared = Fraction((l_n + l_q - 1) ** 2, ctx.size)
         yield _res(
@@ -397,9 +399,9 @@ def _c6(ctx: _Context):
         if not is_prime(index):
             continue
         produced = True
-        dom = ctx.lattice.sublattice_indices(sub)
-        l_n = len(dom)
-        rhs = (ctx.ssd_of(dom) * l_n**2 + 2 * l_n + 1) / ctx.size**2
+        l_n = ctx.lattice.down[n_idx].bit_count()
+        ssd_n = ctx.sub_degree(ctx.phi_rows(), n_idx)
+        rhs = (ssd_n * l_n**2 + 2 * l_n + 1) / ctx.size**2
         yield _res(
             ctx, "C6", f"N=#{n_idx}", value >= rhs, value, rhs,
             witnesses=() if value >= rhs else (f"N={sub.bitstring()}",),
@@ -423,9 +425,9 @@ def _c7(ctx: _Context):
     value = ctx.ssd()
     derived = g.derived_series()[1]
     d_idx = ctx.lattice.index(derived)
-    dom = ctx.lattice.sublattice_indices(derived)
-    l_d = len(dom)
-    rhs = (ctx.ssd_of(dom) * l_d**2 + 2 * l_d + 1) / ctx.size**2
+    l_d = ctx.lattice.down[d_idx].bit_count()
+    ssd_d = ctx.sub_degree(ctx.phi_rows(), d_idx)
+    rhs = (ssd_d * l_d**2 + 2 * l_d + 1) / ctx.size**2
     yield _res(ctx, "C7", f"G'=#{d_idx}", value >= rhs, value, rhs)
     if g.is_metabelian:
         rhs2 = Fraction(l_d**2 + 2 * l_d + 1, ctx.size**2)
@@ -444,11 +446,11 @@ def _c8(ctx: _Context):
     sd_g = ctx.sd()
     size = ctx.size
     for h_idx, h in enumerate(ctx.lattice.subgroups):
-        dom = ctx.lattice.sublattice_indices(h)
+        dom = bit_positions(ctx.lattice.down[h_idx])
         l_h = len(dom)
-        lhs = Fraction(l_h**2, size**2) * ctx.ssd_of(dom)
+        lhs = Fraction(l_h**2, size**2) * ctx.sub_degree(ctx.phi_rows(), h_idx)
         yield _res(ctx, "C8", f"H=#{h_idx}", lhs <= ssd_g, lhs, ssd_g)
-        sd_h = ctx.sd_of(dom)
+        sd_h = ctx.sub_degree(ctx.perm_rows(), h_idx)
         yield _res(
             ctx, "C8", f"H=#{h_idx}|sd-chain", sd_h <= sd_g, sd_h, sd_g,
             witnesses=() if sd_h <= sd_g else (f"H={h.bitstring()}",),
@@ -481,14 +483,14 @@ def _coprime_factors(g: Group) -> tuple[list[Group] | None, str | None]:
     "direct products with pairwise coprime factor orders",
 )
 def _c9(ctx: _Context):
-    factors, reason = _coprime_factors(ctx.group)
+    factors, reason = ctx.coprime_factors()
     if factors is None:
         yield _not_applicable(ctx, "C9", reason)
         return
     lhs = ctx.ssd()
     rhs = Fraction(1)
-    for f in factors:
-        rhs *= degrees.ssd_group(f, enumerate_subgroups(f, cap=ctx.cap))
+    for f, flat in factors:
+        rhs *= degrees.ssd_group(f, flat)
     yield _res(ctx, "C9", f"factors={len(factors)}", lhs == rhs, lhs, rhs)
 
 
@@ -543,40 +545,41 @@ def _c11(ctx: _Context):
     "direct products with pairwise coprime factor orders",
 )
 def _c12(ctx: _Context):
-    factors, reason = _coprime_factors(ctx.group)
+    factors, reason = ctx.coprime_factors()
     if factors is None:
         yield _not_applicable(ctx, "C12", reason)
         return
-    full = ctx.group.full_subgroup()
+    depths = range(1, ctx.n_max + 1)
+
+    def factor_degrees(f: Group, flat: Lattice, s: Subgroup) -> list[Fraction]:
+        return [degrees.ssd_multi(f, flat, s, n, n_cap=max(4, n)) for n in depths]
+
     if len(factors) == 2:
-        g1, g2 = factors
-        lat1 = enumerate_subgroups(g1, cap=ctx.cap)
-        lat2 = enumerate_subgroups(g2, cap=ctx.cap)
+        (g1, lat1), (g2, lat2) = factors
+        values2 = [factor_degrees(g2, lat2, b) for b in lat2]
         for i1, a in enumerate(lat1.subgroups):
+            values1 = factor_degrees(g1, lat1, a)
             for i2, b in enumerate(lat2.subgroups):
                 mask = 0
                 for x in a.members():
                     for y in b.members():
                         mask |= 1 << (x * g2.order + y)
                 ab = Subgroup.from_mask(mask, ctx.group.order)
-                for n in range(1, ctx.n_max + 1):
+                for n in depths:
                     lhs = ctx.ssd_multi(ab, n)
-                    rhs = degrees.ssd_multi(
-                        g1, lat1, a, n, n_cap=max(4, n)
-                    ) * degrees.ssd_multi(g2, lat2, b, n, n_cap=max(4, n))
+                    rhs = values1[n - 1] * values2[i2][n - 1]
                     yield _res(
                         ctx, "C12", f"A=#{i1},B=#{i2},n={n}", lhs == rhs, lhs, rhs
                     )
     else:
         # with more than two factors, check the full product per depth
-        for n in range(1, ctx.n_max + 1):
+        full = ctx.group.full_subgroup()
+        values = [factor_degrees(f, flat, f.full_subgroup()) for f, flat in factors]
+        for n in depths:
             lhs = ctx.ssd_multi(full, n)
             rhs = Fraction(1)
-            for f in factors:
-                flat = enumerate_subgroups(f, cap=ctx.cap)
-                rhs *= degrees.ssd_multi(
-                    f, flat, f.full_subgroup(), n, n_cap=max(4, n)
-                )
+            for per_depth in values:
+                rhs *= per_depth[n - 1]
             yield _res(ctx, "C12", f"full,n={n}", lhs == rhs, lhs, rhs)
 
 
@@ -590,7 +593,7 @@ def _c13(ctx: _Context):
     for h_idx, h in enumerate(ctx.lattice.subgroups):
         if h.size == 1:
             continue
-        dom = ctx.lattice.sublattice_indices(h)
+        dom = bit_positions(ctx.lattice.down[h_idx])
         l_h = len(dom)
         for n in range(1, ctx.n_max + 1):
             cost = sum(ctx.lattice[k].size ** (n + 1) for k in dom)
@@ -629,8 +632,7 @@ def _c14(ctx: _Context):
     size = ctx.size
     diag = {n: ctx.ssd_multi(full, n) for n in range(1, ctx.n_max + 1)}
     for h_idx, h in enumerate(ctx.lattice.subgroups):
-        dom = ctx.lattice.sublattice_indices(h)
-        l_h = len(dom)
+        l_h = ctx.lattice.down[h_idx].bit_count()
         for n in range(1, ctx.n_max + 1):
             lhs = Fraction(l_h ** (n + 1), size ** (n + 1)) * ctx.ssd_multi(
                 h, n, codomain=h
@@ -786,13 +788,16 @@ def run_suite(
         if cid not in CLAIMS:
             raise ValueError(f"unknown claim id {cid!r}")
     n_max, budget, cap = _params(params)
-    contexts = [_Context(g, n_max, budget, cap) for g in groups]
-    results: list[ClaimResult] = []
-    for cid in ids:
-        for ctx in contexts:
-            results.extend(_run_one(cid, ctx))
+    # one context (lattice and caches) alive at a time; results are
+    # collected per claim, so the report keeps registry-then-group order
+    per_claim: list[list[ClaimResult]] = [[] for _ in ids]
+    for g in groups:
+        ctx = _Context(g, n_max, budget, cap)
+        for found, cid in zip(per_claim, ids):
+            found.extend(_run_one(cid, ctx))
+        del ctx  # before the next group's lattice is enumerated
     return SuiteReport(
-        results=tuple(results),
+        results=tuple(r for found in per_claim for r in found),
         group_labels=tuple(g.label for g in groups),
         claim_ids=tuple(ids),
     )

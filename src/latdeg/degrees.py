@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from latdeg import _kernels as kernels
-from latdeg.groups import Group, Subgroup
+from latdeg.groups import Group, Subgroup, bit_positions
 from latdeg.lattice import Lattice, _check_parent
 
 DEFAULT_TUPLE_BUDGET = 10_000_000
@@ -151,19 +151,12 @@ def ssd_multi(
     if n > n_cap:
         raise BudgetExceeded(f"n = {n} exceeds the configured cap {n_cap}")
     _check_parent(g, h)
-    lat.index(h)
-    dom = lat.sublattice_indices(h)
+    dom = bit_positions(lat.down[lat.index(h)])
     if codomain is None:
         cod_mask = (1 << len(lat)) - 1
-        cod_size = len(lat)
     else:
         _check_parent(g, codomain)
-        lat.index(codomain)
-        cod = lat.sublattice_indices(codomain)
-        cod_mask = 0
-        for i in cod:
-            cod_mask |= 1 << i
-        cod_size = len(cod)
+        cod_mask = lat.down[lat.index(codomain)]
     table = bracket_table(g, lat).entries
     rows = phi_rows(g, lat)
     counts = {i: 1 for i in dom}
@@ -178,4 +171,4 @@ def ssd_multi(
     numerator = sum(
         c * (rows[state] & cod_mask).bit_count() for state, c in counts.items()
     )
-    return Fraction(numerator, len(dom) ** n * cod_size)
+    return Fraction(numerator, len(dom) ** n * cod_mask.bit_count())

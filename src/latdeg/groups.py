@@ -364,7 +364,12 @@ def direct_product(g1: Group, g2: Group, *, cap: int | None = None) -> Group:
 
 
 def quotient(g: Group, n_sub: Subgroup) -> Group:
-    """Group on the cosets of a normal subgroup, identity coset first."""
+    """Group on the cosets of a normal subgroup, identity coset first.
+
+    The claim runners do not build quotients: they read L(G/N) and its
+    commuting pairs off the parent lattice (see ``claims``).  This stays
+    as public API and as the tests' reference for that reading.
+    """
     if n_sub.parent_order != g.order:
         raise ValueError("subgroup does not belong to this group")
     if not kernels.is_normal_mask(g.ktab, n_sub.mask):

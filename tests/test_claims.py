@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from latdeg import claims, make_cyclic, make_dihedral, make_modular, make_symmetric
+from latdeg import (
+    claims,
+    make_cyclic,
+    make_dihedral,
+    make_modular,
+    make_quaternion,
+    make_symmetric,
+)
 from latdeg.groups import direct_product
 
 
@@ -54,6 +61,19 @@ def test_c9_exact_product():
     assert res[0].lhs == res[0].rhs == Fraction(5, 12)
 
 
+def test_c12_holds_per_factor_pair_and_per_depth():
+    g = direct_product(make_symmetric(4), make_cyclic(5))
+    res = claims.run_claim("C12", g)
+    # |L(S4)| * |L(C5)| subgroup pairs A x B, each at depths 1..n_max
+    assert len(_holds(res)) == len(res) == 30 * 2 * claims.DEFAULT_N_MAX
+    q8_c3 = direct_product(make_quaternion(), make_cyclic(3))
+    g = direct_product(q8_c3, make_cyclic(5))
+    res = claims.run_claim("C12", g)
+    assert [r.instance for r in _holds(res)] == [r.instance for r in res] == [
+        f"full,n={n}" for n in range(1, claims.DEFAULT_N_MAX + 1)
+    ]
+
+
 def test_c9_not_applicable_without_coprimality():
     g = direct_product(make_symmetric(3), make_cyclic(2))
     res = claims.run_claim("C9", g)
@@ -95,8 +115,6 @@ def test_c20_reports_the_dihedral_coincidence():
 
 
 def test_c4_q8_counterexample_is_reported():
-    from latdeg import make_quaternion
-
     res = claims.run_claim("C4", make_quaternion())
     bad = _fails(res)
     assert len(bad) == 1

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -151,6 +152,22 @@ def test_verify_all_up_to_is_deterministic():
     code2, out2 = run_cli(["verify", "--all-up-to", "12"])
     assert code1 == code2
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("json", "3347985c6c10861d969a3b29c023c15a4adb6c21a5c190f7a3d74462b95c9165"),
+        ("csv", "cf1c314b205afd91c8ff5d92480462d23bb022daa3407b9b9d365c4e829af1e2"),
+    ],
+    ids=["json", "csv"],
+)
+def test_verify_report_is_byte_identical_to_the_golden_report(fmt, digest):
+    # a refactor keeps every report byte for byte; these are the sha256
+    # digests of verify --all-up-to 24, which exits 1 on its known violations
+    code, out = run_cli(["verify", "--all-up-to", "24", "--format", fmt])
+    assert code == 1
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_out_file(tmp_path):

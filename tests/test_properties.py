@@ -14,10 +14,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latdeg import _kernels as kernels
-from latdeg import claims, degrees, direct_product, enumerate_subgroups
+from latdeg import (
+    characters,
+    claims,
+    degrees,
+    direct_product,
+    enumerate_subgroups,
+    normal_subgroups,
+    quotient,
+)
 
 MAX_ORDER = 48
 ORACLE_TUPLES = 200_000
+ORACLE_BRACKETS = 3_000
 FACTORS = {g.label: g for g in claims.builtin_groups_up_to(24) if g.order > 1}
 
 few = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -140,3 +149,41 @@ def test_d_multi_matches_oracle_on_group_and_member(labels, data):
             assert degrees.d_multi(group, n, within=member) == oracles.d_multi(
                 group.table, n, _set(member.mask)
             )
+
+
+@few
+@given(labels=group_labels(max_order=32))
+def test_quotient_stats_match_oracle_on_built_quotients(labels):
+    group, lat = group_and_lattice(labels)
+    ctx = claims._Context(group, claims.DEFAULT_N_MAX, degrees.DEFAULT_TUPLE_BUDGET, None)
+    for sub in normal_subgroups(group, lat):
+        q = quotient(group, sub)
+        expected = (len(oracles.subgroups(q.table)), oracles.ssd(q.table))
+        assert ctx.quotient_stats(lat.index(sub)) == expected
+
+
+@few
+@given(labels=group_labels(max_order=32), data=st.data())
+def test_ssd_multi_matches_oracle_with_and_without_codomain(labels, data):
+    group, lat = group_and_lattice(labels)
+    h, k = (lat[data.draw(st.integers(0, len(lat) - 1))] for _ in range(2))
+    below_h, below_k = (lat.down[lat.index(s)].bit_count() for s in (h, k))
+    for n in (1, 2, 3):
+        # the oracle forms |L(H)|^n (n - 1 + |L(K)|) commutator subgroups
+        if below_h**n * (n - 1 + len(lat)) <= ORACLE_BRACKETS:
+            assert degrees.ssd_multi(group, lat, h, n) == oracles.ssd_multi(
+                group.table, _set(h.mask), n
+            )
+        if below_h**n * (n - 1 + below_k) <= ORACLE_BRACKETS:
+            assert degrees.ssd_multi(group, lat, h, n, codomain=k) == oracles.ssd_multi(
+                group.table, _set(h.mask), n, _set(k.mask)
+            )
+
+
+@few
+@given(labels=group_labels(max_order=32), data=st.data())
+def test_xi_matches_oracle(labels, data):
+    group, lat = group_and_lattice(labels)
+    for _ in range(3):
+        element = data.draw(st.integers(0, group.order - 1))
+        assert characters.xi(group, lat, element) == oracles.xi(group.table, element)
