@@ -12,7 +12,9 @@ class Table:
     """Prepared multiplication table: rows, inverses, order, and the
     per-element centralizers, built on first use."""
 
-    __slots__ = ("n", "rows", "inv", "_centralizers", "_group_centralizer")
+    __slots__ = (
+        "n", "rows", "inv", "_centralizers", "_group_centralizer", "_generators"
+    )
 
     def __init__(self, rows):
         self.n = len(rows)
@@ -23,6 +25,7 @@ class Table:
         self.inv = inv
         self._centralizers: list[int] | None = None
         self._group_centralizer: dict[int, int] = {}
+        self._generators: dict[int, list[int]] = {}
 
     def centralizers(self) -> list[int]:
         """Mask of C_G(a) for every element a."""
@@ -42,8 +45,19 @@ class Table:
         """Mask of C_G(H) for the element set ``hmask``, memoized."""
         out = self._group_centralizer.get(hmask)
         if out is None:
-            out = centralizer_mask(self, (1 << self.n) - 1, hmask)
+            cent = self.centralizers()
+            out = (1 << self.n) - 1
+            for h in _bits(hmask):
+                out &= cent[h]
             self._group_centralizer[hmask] = out
+        return out
+
+    def generators(self, hmask: int) -> list[int]:
+        """Generators of the subgroup ``hmask`` that the closure picks
+        (at most log2 |H| of them), memoized."""
+        out = self._generators.get(hmask)
+        if out is None:
+            out = self._generators[hmask] = _dimino(self, hmask)[1]
         return out
 
 
@@ -58,22 +72,27 @@ def _bits(mask: int):
         mask ^= low
 
 
-def closure_mask(tab: Table, mask: int) -> int:
-    """Smallest subgroup containing the elements of ``mask``.
+def _dimino(tab: Table, mask: int, conjugators=()) -> tuple[int, list[int]]:
+    """The subgroup generated by ``mask`` and the generators picked for it.
 
-    Reached so far, Dimino style: each element of ``mask`` not yet in the
-    group becomes a generator.  The group H reached before it grows by
-    right cosets H r: a coset representative times a generator that
+    Reached so far, Dimino style: the lowest pending element not yet in
+    the group becomes a generator.  The group H reached before it grows
+    by right cosets H r: a coset representative times a generator that
     lands outside the group starts a new coset.  Only generators are
     multiplied, so the cost is O(|J| + [J:H] * #gens) per generator.
+
+    With ``conjugators``, the conjugates of each new generator by them
+    join the pending elements, so the result is the normal closure of
+    ``mask`` in the group they generate.
     """
     rows = tab.rows
+    inv = tab.inv
     members = 1  # identity
     elems = [0]
     gens: list[int] = []
-    rest = mask & ~1
-    while rest:
-        s = (rest & -rest).bit_length() - 1
+    pending = mask & ~1
+    while pending:
+        s = (pending & -pending).bit_length() - 1
         gens.append(s)
         prev = elems[:]  # the subgroup reached so far
         reps = [0]
@@ -87,8 +106,15 @@ def closure_mask(tab: Table, mask: int) -> int:
                         y = rows[h][x]
                         members |= 1 << y
                         elems.append(y)
-        rest &= ~members
-    return members
+        for c in conjugators:
+            pending |= 1 << rows[rows[inv[c]][s]][c]
+        pending &= ~members
+    return members, gens
+
+
+def closure_mask(tab: Table, mask: int) -> int:
+    """Smallest subgroup containing the elements of ``mask``."""
+    return _dimino(tab, mask)[0]
 
 
 def product_mask(tab: Table, amask: int, bmask: int) -> int:
@@ -103,31 +129,35 @@ def product_mask(tab: Table, amask: int, bmask: int) -> int:
 
 
 def commutator_closure_mask(tab: Table, hmask: int, kmask: int) -> int:
-    """Subgroup generated by all commutators h^-1 k^-1 h k.
+    """[H, K] for the subgroups ``hmask`` and ``kmask``, from generators.
 
-    Trivial at once when K lies in C_G(H); otherwise only the pairs that
-    do not commute contribute generators to the closure.
+    Both masks must be subgroups.  With X and Y generating H and K,
+
+        [H, K] = <[x, y] : x in X, y in Y>^<H, K>,
+
+    the normal closure in <H, K> of the generator commutators [x, y] =
+    x^-1 y^-1 x y (Robinson, A Course in the Theory of Groups, 5.1.7).
+    X and Y are the closure's generators, at most log2 of the order
+    each, so no element pair of H x K is formed.  Trivial at once when K
+    lies in C_G(H).
     """
     if kmask & ~tab.group_centralizer(hmask) == 0:
         return 1
     rows = tab.rows
     inv = tab.inv
-    cent = tab.centralizers()
-    gens = 1
-    for h in _bits(hmask):
-        ih = inv[h]
-        for k in _bits(kmask & ~cent[h]):
-            gens |= 1 << rows[rows[rows[ih][inv[k]]][h]][k]
-    return closure_mask(tab, gens)
+    hgens = tab.generators(hmask)
+    kgens = tab.generators(kmask)
+    seeds = 0  # a commuting pair gives the identity, which _dimino skips
+    for x in hgens:
+        rx = rows[inv[x]]
+        for y in kgens:
+            seeds |= 1 << rows[rows[rx[inv[y]]][x]][y]
+    return _dimino(tab, seeds, hgens + kgens)[0]
 
 
 def centralizer_mask(tab: Table, kmask: int, hmask: int) -> int:
     """Elements of K commuting with every element of H."""
-    cent = tab.centralizers()
-    out = kmask
-    for h in _bits(hmask):
-        out &= cent[h]
-    return out
+    return kmask & tab.group_centralizer(hmask)
 
 
 def conjugacy_class_ids(tab: Table) -> list:

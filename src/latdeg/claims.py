@@ -118,7 +118,8 @@ class _Context:
         return sum(r.bit_count() for r in self.phi_rows())
 
     def cent_size(self, k_idx: int, h_idx: int) -> int:
-        """|C_K(H)| for lattice members by position."""
+        """|C_K(H)| = |K n C_G(H)| for lattice members by position; the
+        table memoizes C_G(H)."""
         key = (k_idx, h_idx)
         if key not in self._cent:
             self._cent[key] = kernels.centralizer_mask(

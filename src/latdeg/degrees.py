@@ -122,9 +122,10 @@ class BracketTable:
 def bracket_table(g: Group, lat: Lattice) -> BracketTable:
     """All pairwise commutator subgroups as lattice positions.
 
-    Each entry is computed as written (generators [h, k] with h from the
-    row subgroup), without assuming symmetry; [A,B] = [B,A] holds
-    group-theoretically and is asserted by the test suite instead.
+    Each entry is computed as written (the normal closure of the
+    generator commutators [x, y] with x from the row subgroup), without
+    assuming symmetry; [A,B] = [B,A] holds group-theoretically and is
+    asserted by the test suite instead.
     """
     return BracketTable(lat.brackets)
 
@@ -144,14 +145,18 @@ def ssd_multi(
 
     The left-normed bracket is folded through the lattice bracket table
     by dynamic programming over intermediate subgroup values, which
-    matches direct tuple enumeration exactly.
+    matches direct tuple enumeration exactly.  The members commuting
+    with a value bracket to the trivial member 0; where they are most
+    of the domain, they are counted at once from the value's
+    ``phi_rows`` row and only the rest are looked up in the table.
     """
     if n < 1:
         raise ValueError(f"iterated degree needs n >= 1, got {n}")
     if n > n_cap:
         raise BudgetExceeded(f"n = {n} exceeds the configured cap {n_cap}")
     _check_parent(g, h)
-    dom = bit_positions(lat.down[lat.index(h)])
+    dom_mask = lat.down[lat.index(h)]
+    dom = bit_positions(dom_mask)
     if codomain is None:
         cod_mask = (1 << len(lat)) - 1
     else:
@@ -163,8 +168,17 @@ def ssd_multi(
     for _ in range(n - 1):
         folded: dict[int, int] = {}
         for state, c in counts.items():
+            commuting = rows[state] & dom_mask
+            n_commuting = commuting.bit_count()
+            # listing the other j costs more than a table lookup per j, so
+            # it only pays when most of the domain commutes with the state
+            if 2 * n_commuting > len(dom):
+                folded[0] = folded.get(0, 0) + c * n_commuting
+                js = bit_positions(dom_mask & ~commuting)
+            else:
+                js = dom
             row = table[state]
-            for j in dom:
+            for j in js:
                 t = row[j]
                 folded[t] = folded.get(t, 0) + c
         counts = folded

@@ -153,7 +153,9 @@ class Lattice:
     @property
     def brackets(self) -> tuple[tuple[int, ...], ...]:
         """brackets[i][j]: the position of [L_i, L_j], each entry computed
-        as written (generators [h, k] with h from L_i)."""
+        as written, without assuming symmetry: the normal closure in
+        <L_i, L_j> of the generator commutators [x, y] with x from the
+        generators of L_i and y from those of L_j."""
         if self._brackets is None:
             ktab = self.group.ktab
             masks = [s.mask for s in self.subgroups]
@@ -222,8 +224,15 @@ def permutes(g: Group, h: Subgroup, k: Subgroup) -> bool:
 
 
 def commutator_subgroup(g: Group, h: Subgroup, k: Subgroup) -> Subgroup:
-    """[H, K]: subgroup generated by all commutators [h, k]."""
+    """[H, K]: subgroup generated by all commutators [h, k].
+
+    The kernel works from generators of H and K, so both must be
+    subgroups; any other element set raises ValueError.
+    """
     _check_parent(g, h, k)
+    for s in (h, k):
+        if kernels.closure_mask(g.ktab, s.mask) != s.mask:
+            raise ValueError("element set is not a subgroup")
     return Subgroup.from_mask(
         kernels.commutator_closure_mask(g.ktab, h.mask, k.mask), g.order
     )

@@ -170,6 +170,18 @@ def test_verify_report_is_byte_identical_to_the_golden_report(fmt, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def test_degrees_report_is_byte_identical_to_the_golden_report():
+    # a refactor keeps every report byte for byte; S(5) is the group
+    # where the non-commuting brackets weigh most
+    code, out = run_cli(
+        ["degrees", "-g", "S(4)", "-g", "D(12) x C(2)", "-g", "S(5)"]
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "2a109afce957fc614eb963136fdf19c34f16afb2dd872b29582c9c42510dd519"
+    )
+
+
 def test_out_file(tmp_path):
     target = tmp_path / "report.json"
     code, out = run_cli(["degrees", "-g", "C(6)", "--out", str(target)])

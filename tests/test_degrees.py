@@ -152,6 +152,20 @@ def test_bracket_entries_match_commutator_subgroup(builtin16):
                 assert lat[table.entry(i, j)] == commutator_subgroup(g, h, k)
 
 
+def test_s4_bracket_table_matches_oracle():
+    # S(4) is the built-in of order <= 48 on which the commutators of
+    # generators alone generate too little: [H, K] needs their normal
+    # closure in <H, K>
+    s4 = make_symmetric(4)
+    lat = enumerate_subgroups(s4)
+    table = bracket_table(s4, lat)
+    sets = [set(s.members()) for s in lat]
+    for i, h in enumerate(sets):
+        for j, k in enumerate(sets):
+            expected = oracles.commutator_subgroup(s4.table, h, k)
+            assert set(lat[table.entry(i, j)].members()) == expected
+
+
 def test_ssd_multi_base_cases():
     s3 = make_symmetric(3)
     lat = enumerate_subgroups(s3)

@@ -4,6 +4,7 @@ import pytest
 
 import oracles
 from latdeg import (
+    Subgroup,
     c_set,
     centralizer_in,
     comm_set,
@@ -109,6 +110,15 @@ def test_commutator_subgroup_examples():
     center = commutator_subgroup(q8, i_sub, j_sub)
     assert center.size == 2
     assert set(center.members()) == {0, 2}
+
+
+def test_commutator_subgroup_rejects_element_sets():
+    s3 = make_symmetric(3)
+    five = Subgroup.from_mask(0b011111, s3.order)  # 5 does not divide 6
+    with pytest.raises(ValueError):
+        commutator_subgroup(s3, five, s3.full_subgroup())
+    with pytest.raises(ValueError):
+        commutator_subgroup(s3, s3.full_subgroup(), five)
 
 
 def test_commutator_subgroup_matches_oracle(builtin16):

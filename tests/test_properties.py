@@ -28,13 +28,17 @@ MAX_ORDER = 48
 ORACLE_TUPLES = 200_000
 ORACLE_BRACKETS = 3_000
 FACTORS = {g.label: g for g in claims.builtin_groups_up_to(24) if g.order > 1}
+# on abelian groups every bracket is trivial
+NONABELIAN = sorted(label for label, g in FACTORS.items() if not g.is_abelian)
 
 few = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
-def group_labels(draw, max_order: int = MAX_ORDER) -> tuple[str, ...]:
-    first = draw(st.sampled_from(sorted(FACTORS)))
+def group_labels(
+    draw, max_order: int = MAX_ORDER, firsts: list[str] | None = None
+) -> tuple[str, ...]:
+    first = draw(st.sampled_from(firsts or sorted(FACTORS)))
     partners = sorted(
         label
         for label, g in FACTORS.items()
@@ -127,6 +131,23 @@ def test_bracket_table_matches_oracle_and_is_symmetric(labels):
             assert table.entry(i, j) == table.entry(j, i)
             expected = oracles.commutator_subgroup(group.table, h, k)
             assert lat[table.entry(i, j)].mask == _mask(expected)
+
+
+@few
+@given(labels=group_labels(firsts=NONABELIAN), data=st.data())
+def test_commutator_closure_matches_oracle_on_subgroup_pairs(labels, data):
+    group, lat = group_and_lattice(labels)
+    tab = kernels.prepare_table(group.table)
+    top = len(lat) - 1
+    # (G, G) as derived_series asks for it, then random member pairs
+    pairs = [(top, top)] + [
+        (data.draw(st.integers(0, top)), data.draw(st.integers(0, top)))
+        for _ in range(10)
+    ]
+    for i, j in pairs:
+        h, k = lat[i].mask, lat[j].mask
+        expected = oracles.commutator_subgroup(group.table, _set(h), _set(k))
+        assert kernels.commutator_closure_mask(tab, h, k) == _mask(expected)
 
 
 @few
