@@ -12,6 +12,13 @@ Group specs follow the grammar ``atom ("x" atom)*`` with atoms
 case-insensitive and whitespace is ignored.  Exit codes: 0 success,
 1 a verified claim failed, 2 usage/parse/domain error, 3 order cap or
 budget exceeded.  Identical invocations produce byte-identical output.
+
+Reports are written by one formatter.  Each record is flattened once,
+every rational to its num/den/approx strings, and the JSON and CSV
+writers of both subcommands read those fields.  The JSON writer formats
+the text directly, with strings escaped by the C function that
+``json.dumps`` uses, and its output stays byte-identical to the earlier
+``json.dumps(records, indent=2)`` layout.
 """
 
 from __future__ import annotations
@@ -19,11 +26,13 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import re
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _json_str
 
 from latdeg import characters, claims, degrees
 from latdeg.degrees import BudgetExceeded
@@ -158,7 +167,7 @@ def parse_group_spec(text: str) -> GroupSpec:
     return GroupSpec(tuple(atoms))
 
 
-def _approx12(value: Fraction) -> str:
+def _approx12(value: Fraction | int) -> str:
     """Round-half-even decimal expansion with exactly 12 places."""
     scale = 10**12
     q, r = divmod(value.numerator * scale, value.denominator)
@@ -167,37 +176,84 @@ def _approx12(value: Fraction) -> str:
     return f"{q // scale}.{q % scale:012d}"
 
 
-def _rational_obj(value: Fraction | int) -> dict:
-    f = Fraction(value)
-    return {
-        "num": str(f.numerator),
-        "den": str(f.denominator),
-        "approx": _approx12(f),
-    }
+Rational = tuple[str, str, str]
+_JSON_FLAG = {None: "null", True: "true", False: "false"}
+_CSV_FLAG = {None: "", True: "true", False: "false"}
+_NO_RATIONAL: Rational = ("", "", "")
 
 
-def _degrees_entry(spec: GroupSpec, n_max: int, cap: int | None) -> dict:
+def _rational(value: Fraction | int) -> Rational:
+    """``value`` flattened once to its report strings: num, den, approx."""
+    return str(value.numerator), str(value.denominator), _approx12(value)
+
+
+def _rational_json(r: Rational | None, pad: str) -> str:
+    """A flattened rational as a JSON object closed at indentation ``pad``.
+
+    Its strings hold only digits, ``-`` and ``.``, which JSON does not
+    escape.
+    """
+    if r is None:
+        return "null"
+    return (
+        f'{{\n{pad}  "num": "{r[0]}",\n{pad}  "den": "{r[1]}",\n'
+        f'{pad}  "approx": "{r[2]}"\n{pad}}}'
+    )
+
+
+def _json_list(items: list[str], pad: str, end: str = "") -> str:
+    """JSON ``items`` as a list closed at indentation ``pad``, then ``end``.
+
+    The brackets go onto the first and the last item, so that a long
+    report is copied only once, by the join.
+    """
+    if not items:
+        return "[]" + end
+    items[0] = "[\n" + pad + "  " + items[0]
+    items[-1] += "\n" + pad + "]" + end
+    return (",\n" + pad + "  ").join(items)
+
+
+def _degrees_entry(spec: GroupSpec, n_max: int, cap: int | None) -> tuple:
+    """One group's report record: label, order, lattice size, class
+    count, then d, sd, ssd and the list ssd_1..ssd_n_max flattened."""
     group = spec.build(cap)
     lat = enumerate_subgroups(group, cap=cap)
     full = group.full_subgroup()
-    return {
-        "group": spec.label,
-        "order": group.order,
-        "lattice_size": len(lat),
-        "class_count": characters.class_count(group),
-        "d": _rational_obj(degrees.d_group(group)),
-        "sd": _rational_obj(degrees.sd_group(group, lat)),
-        "ssd": _rational_obj(degrees.ssd_group(group, lat)),
-        "ssd_n": [
-            _rational_obj(
-                degrees.ssd_multi(group, lat, full, n, n_cap=max(4, n_max))
-            )
+    return (
+        spec.label,
+        group.order,
+        len(lat),
+        characters.class_count(group),
+        _rational(degrees.d_group(group)),
+        _rational(degrees.sd_group(group, lat)),
+        _rational(degrees.ssd_group(group, lat)),
+        [
+            _rational(degrees.ssd_multi(group, lat, full, n, n_cap=max(4, n_max)))
             for n in range(1, n_max + 1)
         ],
-    }
+    )
 
 
-def _degrees_csv(entries: list[dict], n_max: int) -> str:
+def _degrees_json(entries: list[tuple]) -> str:
+    return _json_list(
+        [
+            f'{{\n    "group": {_json_str(label)},\n    "order": {order},\n'
+            f'    "lattice_size": {size},\n    "class_count": {classes},\n'
+            f'    "d": {_rational_json(d, "    ")},\n'
+            f'    "sd": {_rational_json(sd, "    ")},\n'
+            f'    "ssd": {_rational_json(ssd, "    ")},\n'
+            f'    "ssd_n": '
+            f'{_json_list([_rational_json(r, "      ") for r in ssd_n], "    ")}'
+            f"\n  }}"
+            for label, order, size, classes, d, sd, ssd, ssd_n in entries
+        ],
+        "",
+        "\n",
+    )
+
+
+def _degrees_csv(entries: list[tuple], n_max: int) -> str:
     buf = io.StringIO()
     fields = ["group", "order", "lattice_size", "class_count"]
     for name in ("d", "sd", "ssd"):
@@ -206,32 +262,52 @@ def _degrees_csv(entries: list[dict], n_max: int) -> str:
         fields += [f"ssd{n}_num", f"ssd{n}_den", f"ssd{n}_approx"]
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fields)
-    for e in entries:
-        row = [e["group"], e["order"], e["lattice_size"], e["class_count"]]
-        for name in ("d", "sd", "ssd"):
-            row += [e[name]["num"], e[name]["den"], e[name]["approx"]]
-        for item in e["ssd_n"]:
-            row += [item["num"], item["den"], item["approx"]]
-        writer.writerow(row)
+    writer.writerows(
+        [label, order, size, classes, *d, *sd, *ssd, *chain.from_iterable(ssd_n)]
+        for label, order, size, classes, d, sd, ssd, ssd_n in entries
+    )
     return buf.getvalue()
 
 
-def _result_obj(r: claims.ClaimResult) -> dict:
-    return {
-        "claim": r.claim_id,
-        "group": r.group_label,
-        "instance": r.instance,
-        "applicable": r.applicable,
-        "holds": r.holds,
-        "strict": r.strict_observed,
-        "lhs": None if r.lhs is None else _rational_obj(r.lhs),
-        "rhs": None if r.rhs is None else _rational_obj(r.rhs),
-        "witnesses": list(r.witnesses),
-        "note": r.note,
-    }
+def _verify_record(r: claims.ClaimResult) -> tuple:
+    """A claim result as a report record, its two sides flattened."""
+    return (
+        r.claim_id,
+        r.group_label,
+        r.instance,
+        r.applicable,
+        r.holds,
+        r.strict_observed,
+        None if r.lhs is None else _rational(r.lhs),
+        None if r.rhs is None else _rational(r.rhs),
+        r.witnesses,
+        r.note,
+    )
 
 
-def _verify_csv(results: list[dict]) -> str:
+def _verify_json(records: Iterable[tuple]) -> str:
+    return _json_list(
+        [
+            f'{{\n    "claim": {_json_str(claim)},\n'
+            f'    "group": {_json_str(group)},\n'
+            f'    "instance": {_json_str(instance)},\n'
+            f'    "applicable": {_JSON_FLAG[applicable]},\n'
+            f'    "holds": {_JSON_FLAG[holds]},\n'
+            f'    "strict": {_JSON_FLAG[strict]},\n'
+            f'    "lhs": {_rational_json(lhs, "    ")},\n'
+            f'    "rhs": {_rational_json(rhs, "    ")},\n'
+            f'    "witnesses": '
+            f'{_json_list([_json_str(w) for w in witnesses], "    ")},\n'
+            f'    "note": {"null" if note is None else _json_str(note)}\n  }}'
+            for claim, group, instance, applicable, holds, strict, lhs, rhs,
+            witnesses, note in records
+        ],
+        "",
+        "\n",
+    )
+
+
+def _verify_csv(records: Iterable[tuple]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
@@ -242,22 +318,16 @@ def _verify_csv(results: list[dict]) -> str:
             "witnesses", "note",
         ]
     )
-
-    def flag(v):
-        return "" if v is None else ("true" if v else "false")
-
-    for r in results:
-        lhs = r["lhs"] or {"num": "", "den": "", "approx": ""}
-        rhs = r["rhs"] or {"num": "", "den": "", "approx": ""}
-        writer.writerow(
-            [
-                r["claim"], r["group"], r["instance"],
-                flag(r["applicable"]), flag(r["holds"]), flag(r["strict"]),
-                lhs["num"], lhs["den"], lhs["approx"],
-                rhs["num"], rhs["den"], rhs["approx"],
-                ";".join(r["witnesses"]), r["note"] or "",
-            ]
-        )
+    writer.writerows(
+        [
+            claim, group, instance,
+            _CSV_FLAG[applicable], _CSV_FLAG[holds], _CSV_FLAG[strict],
+            *(lhs or _NO_RATIONAL), *(rhs or _NO_RATIONAL),
+            ";".join(witnesses), note or "",
+        ]
+        for claim, group, instance, applicable, holds, strict, lhs, rhs,
+        witnesses, note in records
+    )
     return buf.getvalue()
 
 
@@ -320,7 +390,7 @@ def cmd_degrees(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _failure(exc)
     if args.format == "json":
-        return _emit(json.dumps(entries, indent=2) + "\n", args.out)
+        return _emit(_degrees_json(entries), args.out)
     return _emit(_degrees_csv(entries, args.n_max), args.out)
 
 
@@ -341,11 +411,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         return _failure(exc)
-    results = [_result_obj(r) for r in report.results]
+    records = map(_verify_record, report.results)
     if args.format == "json":
-        code = _emit(json.dumps(results, indent=2) + "\n", args.out)
+        code = _emit(_verify_json(records), args.out)
     else:
-        code = _emit(_verify_csv(results), args.out)
+        code = _emit(_verify_csv(records), args.out)
     if code != EXIT_OK:
         return code
     return EXIT_OK if report.all_hold else EXIT_CLAIM_FAILED

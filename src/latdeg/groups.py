@@ -26,18 +26,28 @@ class OrderCapExceeded(ValueError):
 
 
 def order_cap(cap: int | None = None) -> int:
-    """Effective order cap: explicit value, else LATDEG_ORDER_CAP, else 200."""
+    """Effective order cap: explicit value, else LATDEG_ORDER_CAP, else 200.
+
+    An explicit value is the CLI's ``--order-cap``; it and the variable
+    must be integers of at least 1, else ValueError names the one at
+    fault.
+    """
     if cap is not None:
+        if cap < 1:
+            raise ValueError(f"--order-cap must be at least 1, got {cap}")
         return cap
     env = os.environ.get(ORDER_CAP_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(
-                f"{ORDER_CAP_ENV} must be an integer, got {env!r}"
-            ) from None
-    return DEFAULT_ORDER_CAP
+    if not env:
+        return DEFAULT_ORDER_CAP
+    try:
+        value = int(env)
+    except ValueError:
+        raise ValueError(
+            f"{ORDER_CAP_ENV} must be an integer, got {env!r}"
+        ) from None
+    if value < 1:
+        raise ValueError(f"{ORDER_CAP_ENV} must be at least 1, got {env!r}")
+    return value
 
 
 def _check_cap(order: int, cap: int | None, what: str) -> None:

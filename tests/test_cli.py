@@ -182,6 +182,35 @@ def test_degrees_report_is_byte_identical_to_the_golden_report():
     )
 
 
+def test_degrees_csv_report_is_byte_identical_to_the_golden_report():
+    # the CSV writer's golden report, with a quoted label (M(3,3)) and
+    # four ssd_n columns
+    code, out = run_cli(
+        [
+            "degrees", "--format", "csv", "--n-max", "4",
+            "-g", "S(4)", "-g", "D(12) x C(2)", "-g", "Q8 x C(3)", "-g", "M(3,3)",
+        ]
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "790274328961a9d7401ca069d9494a5613d55a0d5572331c66455abef547d477"
+    )
+
+
+def test_degrees_report_with_an_empty_ssd_n_is_byte_identical():
+    code, out = run_cli(["degrees", "-g", "S(3)", "--n-max", "0"])
+    assert code == 0
+    assert '"ssd_n": []\n' in out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "3c29c2b92b9337941c5a857e055b8fda45df808b9b8709fd2718ce038e9dcb24"
+    )
+
+
+def test_empty_verify_report_is_an_empty_list():
+    # a claim filter naming no claim runs nothing and reports nothing
+    assert run_cli(["verify", "-g", "C(2)", "--claims", ","]) == (0, "[]\n")
+
+
 def test_out_file(tmp_path):
     target = tmp_path / "report.json"
     code, out = run_cli(["degrees", "-g", "C(6)", "--out", str(target)])
@@ -203,6 +232,28 @@ def test_bad_order_cap_setting_exits_2(argv, monkeypatch, capsys):
     monkeypatch.setenv("LATDEG_ORDER_CAP", "abc")
     assert run_cli(argv) == (2, "")
     assert "LATDEG_ORDER_CAP" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv", [["degrees", "-g", "S(3)"], ["verify", "-g", "S(3)", "--claims", "C1"]]
+)
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_order_cap_flag_below_1_exits_2(argv, cap, capsys):
+    # a usage error, not a group above the cap (exit 3)
+    assert run_cli([*argv, "--order-cap", cap]) == (2, "")
+    assert "--order-cap" in _one_line_error(capsys)
+    assert run_cli([*argv, "--order-cap", "6"])[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv", [["degrees", "-g", "S(3)"], ["verify", "-g", "S(3)", "--claims", "C1"]]
+)
+def test_order_cap_setting_below_1_exits_2(argv, monkeypatch, capsys):
+    monkeypatch.setenv("LATDEG_ORDER_CAP", "0")
+    assert run_cli(argv) == (2, "")
+    assert "LATDEG_ORDER_CAP" in _one_line_error(capsys)
+    monkeypatch.setenv("LATDEG_ORDER_CAP", "6")
+    assert run_cli(argv)[0] == 0
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
-"""Property tests of the lattice core against the brute-force oracles.
+"""Property tests of the lattice core against the brute-force oracles,
+and of the report writer against ``json.dumps``.
 
 Groups are random direct products of built-in instances, of order at
 most 48.  Examples are derandomized and few, so the suite stays fast and
@@ -7,16 +8,19 @@ repeatable.
 
 from __future__ import annotations
 
+import json
+from fractions import Fraction
 from functools import lru_cache
 
 import oracles
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latdeg import _kernels as kernels
 from latdeg import (
     characters,
     claims,
+    cli,
     degrees,
     direct_product,
     enumerate_subgroups,
@@ -208,3 +212,100 @@ def test_xi_matches_oracle(labels, data):
     for _ in range(3):
         element = data.draw(st.integers(0, group.order - 1))
         assert characters.xi(group, lat, element) == oracles.xi(group.table, element)
+
+
+# report strings with what JSON must escape: quotes, backslashes, control
+# characters, and non-ASCII text inside and outside the BMP
+TRICKY = '"\\/\n\t\x00\x1f\x7f \u00e9\u20ac\u2028\U0001f600a'
+texts = st.text(st.sampled_from(TRICKY), max_size=6) | st.text(max_size=6)
+rationals = st.integers(-(10**15), 10**15) | st.fractions()
+flags = st.none() | st.booleans()
+claim_results = st.builds(
+    claims.ClaimResult,
+    claim_id=texts,
+    group_label=texts,
+    instance=texts,
+    applicable=st.booleans(),
+    holds=flags,
+    lhs=st.none() | rationals,
+    rhs=st.none() | rationals,
+    strict_observed=flags,
+    witnesses=st.lists(texts, max_size=3).map(tuple),
+    note=st.none() | texts,
+)
+
+
+def _old_rational_obj(value) -> dict:
+    f = Fraction(value)
+    return {
+        "num": str(f.numerator),
+        "den": str(f.denominator),
+        "approx": cli._approx12(f),
+    }
+
+
+def _old_result_obj(r: claims.ClaimResult) -> dict:
+    # the record shape the reports were written from before the writer
+    return {
+        "claim": r.claim_id,
+        "group": r.group_label,
+        "instance": r.instance,
+        "applicable": r.applicable,
+        "holds": r.holds,
+        "strict": r.strict_observed,
+        "lhs": None if r.lhs is None else _old_rational_obj(r.lhs),
+        "rhs": None if r.rhs is None else _old_rational_obj(r.rhs),
+        "witnesses": list(r.witnesses),
+        "note": r.note,
+    }
+
+
+@few
+@given(results=st.lists(claim_results, max_size=4))
+@example(results=[])
+@example(
+    results=[claims.ClaimResult("C1", "S(3)", "", False, None, None, None)]
+)
+def test_verify_writer_matches_json_dumps(results):
+    text = cli._verify_json(map(cli._verify_record, results))
+    expected = json.dumps([_old_result_obj(r) for r in results], indent=2)
+    assert text == expected + "\n"
+
+
+@st.composite
+def degrees_entries(draw):
+    n_max = draw(st.integers(0, 3))
+    values = st.integers(0, 10**6) | st.fractions(min_value=0)
+    sizes = st.integers(1, 10**4)
+    entry = st.tuples(
+        texts, sizes, sizes, sizes, values, values, values,
+        st.lists(values, min_size=n_max, max_size=n_max),
+    )
+    return draw(st.lists(entry, max_size=3))
+
+
+@few
+@given(entries=degrees_entries())
+@example(entries=[])
+@example(entries=[("S(3)", 6, 6, 3, Fraction(1, 2), Fraction(5, 6), 1, [])])
+@example(entries=[("S(3)", 6, 6, 3, 1, 1, 1, [Fraction(5, 12), 1])])
+def test_degrees_writer_matches_json_dumps(entries):
+    flat = [
+        (label, order, size, classes, *map(cli._rational, (d, sd, ssd)),
+         [cli._rational(v) for v in ssd_n])
+        for label, order, size, classes, d, sd, ssd, ssd_n in entries
+    ]
+    old = [
+        {
+            "group": label,
+            "order": order,
+            "lattice_size": size,
+            "class_count": classes,
+            "d": _old_rational_obj(d),
+            "sd": _old_rational_obj(sd),
+            "ssd": _old_rational_obj(ssd),
+            "ssd_n": [_old_rational_obj(v) for v in ssd_n],
+        }
+        for label, order, size, classes, d, sd, ssd, ssd_n in entries
+    ]
+    assert cli._degrees_json(flat) == json.dumps(old, indent=2) + "\n"
