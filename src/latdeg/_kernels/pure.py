@@ -9,11 +9,15 @@ from __future__ import annotations
 
 
 class Table:
-    """Prepared multiplication table: rows, inverses, order, and the
-    per-element centralizers, built on first use."""
+    """Prepared multiplication table: rows, inverses, order, and what the
+    kernels learn about it as they run: the per-element centralizers,
+    C_G(H) per subgroup, the generators and elements recorded for every
+    subgroup a closure returned, and the closures the commutator kernel
+    asked for, keyed by their generating mask."""
 
     __slots__ = (
-        "n", "rows", "inv", "_centralizers", "_group_centralizer", "_generators"
+        "n", "rows", "inv",
+        "_centralizers", "_group_centralizer", "_subgroups", "_closures",
     )
 
     def __init__(self, rows):
@@ -25,7 +29,8 @@ class Table:
         self.inv = inv
         self._centralizers: list[int] | None = None
         self._group_centralizer: dict[int, int] = {}
-        self._generators: dict[int, list[int]] = {}
+        self._subgroups: dict[int, tuple[list[int], list[int]]] = {1: ([], [0])}
+        self._closures: dict[int, int] = {}
 
     def centralizers(self) -> list[int]:
         """Mask of C_G(a) for every element a."""
@@ -52,13 +57,24 @@ class Table:
             self._group_centralizer[hmask] = out
         return out
 
-    def generators(self, hmask: int) -> list[int]:
-        """Generators of the subgroup ``hmask`` that the closure picks
-        (at most log2 |H| of them), memoized."""
-        out = self._generators.get(hmask)
+    def record(self, hmask: int) -> tuple[list[int], list[int]]:
+        """Generators and elements of the subgroup ``hmask``, as recorded
+        by the closure that first returned it: at most log2 |H|
+        generators, and the elements in the order the closure reached
+        them.  A subgroup no closure returned yet is closed once here;
+        any other element set raises ValueError.  The lists are shared;
+        do not mutate them."""
+        out = self._subgroups.get(hmask)
         if out is None:
-            out = self._generators[hmask] = _dimino(self, hmask)[1]
+            if _dimino(self, hmask)[0] != hmask:
+                raise ValueError("element set is not a subgroup")
+            out = self._subgroups[hmask]
         return out
+
+    def generators(self, hmask: int) -> list[int]:
+        """Generators recorded for the subgroup ``hmask``; see
+        :meth:`record`."""
+        return self.record(hmask)[0]
 
 
 def prepare_table(rows) -> Table:
@@ -72,25 +88,30 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _dimino(tab: Table, mask: int, conjugators=()) -> tuple[int, list[int]]:
-    """The subgroup generated by ``mask`` and the generators picked for it.
+def _dimino(tab: Table, mask: int, base: int = 1) -> tuple[int, list[int]]:
+    """The subgroup generated by the subgroup ``base`` and the elements of
+    ``mask``, and the generators picked for it.
 
-    Reached so far, Dimino style: the lowest pending element not yet in
-    the group becomes a generator.  The group H reached before it grows
-    by right cosets H r: a coset representative times a generator that
-    lands outside the group starts a new coset.  Only generators are
-    multiplied, so the cost is O(|J| + [J:H] * #gens) per generator.
+    Reached so far, Dimino style, extended from a known subgroup
+    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 3):
+    the group starts as ``base`` with the generators recorded for it,
+    and the lowest pending element not yet in the group becomes a
+    generator.  The group H reached before it grows by right cosets H r:
+    a coset representative times a generator that lands outside the
+    group starts a new coset.  Only generators are multiplied, so the
+    cost is O(|J| + [J:H] * #gens) per generator, and the elements of
+    ``base`` are never rebuilt.
 
-    With ``conjugators``, the conjugates of each new generator by them
-    join the pending elements, so the result is the normal closure of
-    ``mask`` in the group they generate.
+    The result is always the subgroup the returned generators generate.
+    They and its elements are recorded for it, unless a closure recorded
+    it before, so :meth:`Table.generators` reads them, and a later
+    closure extends the result, without closing it again.
     """
     rows = tab.rows
-    inv = tab.inv
-    members = 1  # identity
-    elems = [0]
-    gens: list[int] = []
-    pending = mask & ~1
+    gens, elems = tab.record(base)
+    gens, elems = gens[:], elems[:]
+    members = base
+    pending = mask & ~members
     while pending:
         s = (pending & -pending).bit_length() - 1
         gens.append(s)
@@ -106,15 +127,17 @@ def _dimino(tab: Table, mask: int, conjugators=()) -> tuple[int, list[int]]:
                         y = rows[h][x]
                         members |= 1 << y
                         elems.append(y)
-        for c in conjugators:
-            pending |= 1 << rows[rows[inv[c]][s]][c]
         pending &= ~members
+    tab._subgroups.setdefault(members, (gens, elems))
     return members, gens
 
 
-def closure_mask(tab: Table, mask: int) -> int:
-    """Smallest subgroup containing the elements of ``mask``."""
-    return _dimino(tab, mask)[0]
+def closure_mask(tab: Table, mask: int, base: int = 1) -> int:
+    """Smallest subgroup containing the subgroup ``base`` and the elements
+    of ``mask``.  The closure extends ``base`` rather than rebuilding
+    it, so a join with a known member costs only the new cosets.  A
+    ``base`` that is not a subgroup raises ValueError."""
+    return _dimino(tab, mask, base)[0]
 
 
 def product_mask(tab: Table, amask: int, bmask: int) -> int:
@@ -131,28 +154,53 @@ def product_mask(tab: Table, amask: int, bmask: int) -> int:
 def commutator_closure_mask(tab: Table, hmask: int, kmask: int) -> int:
     """[H, K] for the subgroups ``hmask`` and ``kmask``, from generators.
 
-    Both masks must be subgroups.  With X and Y generating H and K,
+    Both masks must be subgroups.  With X and Y generating H and K and
+    S = {[x, y] : x in X, y in Y}, where [x, y] = x^-1 y^-1 x y,
 
-        [H, K] = <[x, y] : x in X, y in Y>^<H, K>,
+        <S> <= [H, K] = <S>^<H, K>,
 
-    the normal closure in <H, K> of the generator commutators [x, y] =
-    x^-1 y^-1 x y (Robinson, A Course in the Theory of Groups, 5.1.7).
-    X and Y are the closure's generators, at most log2 of the order
-    each, so no element pair of H x K is formed.  Trivial at once when K
-    lies in C_G(H).
+    the normal closure in <H, K> of the generator commutators (Robinson,
+    A Course in the Theory of Groups, 5.1.7).  X and Y are the
+    generators recorded for H and K, at most log2 of the order each, so
+    no element pair of H x K is formed.  Trivial at once when K lies in
+    C_G(H).  Otherwise the normal closure grows from N = <S>: while some
+    conjugate of a generator of N by X u Y lies outside N, N becomes the
+    closure of N and those conjugates, extended from N.  Every such N
+    lies in [H, K], which <H, K> normalizes, and the last is normalized
+    by X u Y, hence by <H, K>, so it is [H, K].  Each closure comes from
+    a per-table memo keyed by its generating mask, since many pairs
+    share their seeds S and the steps after them.
     """
-    if kmask & ~tab.group_centralizer(hmask) == 0:
+    cent = tab._group_centralizer.get(hmask)
+    if cent is None:
+        cent = tab.group_centralizer(hmask)
+    if kmask & ~cent == 0:
         return 1
     rows = tab.rows
     inv = tab.inv
     hgens = tab.generators(hmask)
     kgens = tab.generators(kmask)
-    seeds = 0  # a commuting pair gives the identity, which _dimino skips
+    pending = 0
     for x in hgens:
         rx = rows[inv[x]]
         for y in kgens:
-            seeds |= 1 << rows[rows[rx[inv[y]]][x]][y]
-    return _dimino(tab, seeds, hgens + kgens)[0]
+            pending |= 1 << rows[rows[rx[inv[y]]][x]][y]
+    conjugators = hgens + kgens
+    closures = tab._closures
+    group = 1
+    pending &= ~1  # a commuting generator pair gives the identity
+    while pending:
+        key = group | pending
+        grown = closures.get(key)
+        if grown is None:
+            grown = closures[key] = _dimino(tab, pending, group)[0]
+        group = grown
+        pending = 0
+        for s in tab._subgroups[group][0]:
+            for c in conjugators:
+                pending |= 1 << rows[rows[inv[c]][s]][c]
+        pending &= ~group
+    return group
 
 
 def centralizer_mask(tab: Table, kmask: int, hmask: int) -> int:

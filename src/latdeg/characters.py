@@ -2,7 +2,8 @@
 
 xi(g) counts pairs (X, Y) with X a subgroup of <g>, Y any subgroup of
 G, and [X, Y] = 1.  It is constant on conjugacy classes and depends on
-g only through the cyclic subgroup it generates.
+g only through the cyclic subgroup it generates, which the lattice
+holds at position ``lat.cyclic[g]``.
 """
 
 from __future__ import annotations
@@ -10,24 +11,24 @@ from __future__ import annotations
 from fractions import Fraction
 
 from latdeg.degrees import phi_rows
-from latdeg.groups import Group
+from latdeg.groups import Group, bit_positions
 from latdeg.lattice import Lattice
 
 
 def xi(g: Group, lat: Lattice, element: int) -> int:
     if not 0 <= element < g.order:
         raise ValueError(f"element index {element} out of range")
-    cyc = g.closure([element])
     rows = phi_rows(g, lat)
-    return sum(rows[i].bit_count() for i in lat.sublattice_indices(cyc))
+    below = lat.down[lat.cyclic[element]]
+    return sum(rows[i].bit_count() for i in bit_positions(below))
 
 
 def ssd_cyclic(g: Group, lat: Lattice, element: int) -> Fraction:
     """xi(g) normalized by |L(<g>)| * |L(G)|; equals the n = 1 iterated
     degree of the cyclic subgroup generated by the element."""
-    cyc = g.closure([element])
-    lsub = len(lat.sublattice_indices(cyc))
-    return Fraction(xi(g, lat, element), lsub * len(lat))
+    value = xi(g, lat, element)  # checks the element index
+    lsub = lat.down[lat.cyclic[element]].bit_count()
+    return Fraction(value, lsub * len(lat))
 
 
 def class_count(g: Group) -> int:
@@ -38,8 +39,8 @@ def equal_generator_invariance(g: Group, lat: Lattice) -> list[tuple[int, int]]:
     """Violation pairs (x, y) with <x> = <y> but xi(x) != xi(y); empty
     when the invariance holds."""
     by_subgroup: dict[int, list[int]] = {}
-    for a in range(g.order):
-        by_subgroup.setdefault(g.closure([a]).mask, []).append(a)
+    for a, cyc in enumerate(lat.cyclic):
+        by_subgroup.setdefault(cyc, []).append(a)
     violations = []
     for elems in by_subgroup.values():
         first = xi(g, lat, elems[0])

@@ -24,6 +24,7 @@ the text directly, with strings escaped by the C function that
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import io
 import re
@@ -53,6 +54,8 @@ EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+REPORT_SLICE = 1 << 16  # characters of a report encoded and written at a time
 
 
 class GroupSpecError(ValueError):
@@ -355,8 +358,11 @@ def _write_stdout(text: str) -> None:
     A pipe write cut short by a stop signal (SIGSTOP or job control,
     then SIGCONT) makes ``BufferedWriter.write`` return a short count,
     which ``TextIOWrapper.write`` ignores, so a long report would lose
-    its tail.  The encoded report therefore goes to the binary buffer in
-    a loop that resumes after each short write.
+    its tail.  The report therefore goes to the binary buffer in a loop
+    that resumes after each short write.  It is encoded one slice of
+    ``REPORT_SLICE`` characters at a time, by one incremental encoder
+    so that a stateful encoding stays correct, and only the current
+    slice is held encoded.
     """
     stream = sys.stdout
     buffer = getattr(stream, "buffer", None)
@@ -364,9 +370,12 @@ def _write_stdout(text: str) -> None:
         stream.write(text)
         return
     stream.flush()
-    data = memoryview(text.encode(stream.encoding, stream.errors))
-    while data:
-        data = data[buffer.write(data) :]
+    encode = codecs.getincrementalencoder(stream.encoding)(stream.errors).encode
+    for start in range(0, len(text) + 1, REPORT_SLICE):
+        end = start + REPORT_SLICE
+        data = memoryview(encode(text[start:end], end > len(text)))
+        while data:
+            data = data[buffer.write(data) :]
     buffer.flush()
 
 

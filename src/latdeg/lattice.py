@@ -7,8 +7,9 @@ the lexicographic order of the membership bit sequence (element 0
 first), so lattice positions and every derived report are stable.
 
 A :class:`Lattice` owns the data derived from its order relation: the
-up-set and down-set of every member, joins, and the permutability,
-commuting and bracket tables, each built on first use.
+up-set and down-set of every member, the position of each cyclic
+subgroup <e>, joins, and the permutability, commuting and bracket
+tables, each built on first use.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ class Lattice:
             raise ValueError("lattice must contain the trivial and full subgroups")
         self._up: tuple[int, ...] | None = None
         self._down: tuple[int, ...] | None = None
+        self._cyclic: tuple[int, ...] | None = None
         self._perm_rows: tuple[int, ...] | None = None
         self._phi_rows: tuple[int, ...] | None = None
         self._brackets: tuple[tuple[int, ...], ...] | None = None
@@ -85,6 +87,7 @@ class Lattice:
             up.append(above)
             down.append(everyone & ~outside)
         self._up, self._down = tuple(up), tuple(down)
+        self._cyclic = tuple((h & -h).bit_length() - 1 for h in holders)
 
     @property
     def up(self) -> tuple[int, ...]:
@@ -99,6 +102,15 @@ class Lattice:
         if self._down is None:
             self._order_relation()
         return self._down
+
+    @property
+    def cyclic(self) -> tuple[int, ...]:
+        """cyclic[e]: the position of <e>.  Every member holding the
+        element e contains <e>, and positions ascend with size, so it is
+        the lowest member holding e."""
+        if self._cyclic is None:
+            self._order_relation()
+        return self._cyclic
 
     def join(self, i: int, j: int) -> int:
         """Position of L_i v L_j: the smallest, hence lowest, common upper
@@ -155,16 +167,15 @@ class Lattice:
         """brackets[i][j]: the position of [L_i, L_j], each entry computed
         as written, without assuming symmetry: the normal closure in
         <L_i, L_j> of the generator commutators [x, y] with x from the
-        generators of L_i and y from those of L_j."""
+        generators recorded for L_i and y from those for L_j, one kernel
+        call per ordered pair."""
         if self._brackets is None:
             ktab = self.group.ktab
+            bracket = kernels.commutator_closure_mask
             masks = [s.mask for s in self.subgroups]
             index_of = self.index_of
             self._brackets = tuple(
-                tuple(
-                    index_of[kernels.commutator_closure_mask(ktab, hm, km)]
-                    for km in masks
-                )
+                tuple([index_of[bracket(ktab, hm, km)] for km in masks])
                 for hm in masks
             )
         return self._brackets
@@ -177,7 +188,11 @@ def enumerate_subgroups(g: Group, *, cap: int | None = None) -> Lattice:
     cyclic ones, so joining each member with each cyclic seed reaches
     the whole lattice.  A seed is joined with the seeds found before it
     only, so each pair of seeds is closed once; later members are joined
-    with every seed that neither contains nor lies in them.
+    with every seed that neither contains nor lies in them.  A join
+    H v <a> extends the closure of the member H by a, so H is never
+    rebuilt, and the first join reaching a member records its generators
+    (those of H, then a: at most log2 of its order) for the bracket
+    table to read.
     """
     if g.order > order_cap(cap):
         raise OrderCapExceeded(
@@ -200,7 +215,7 @@ def enumerate_subgroups(g: Group, *, cap: int | None = None) -> Lattice:
         for c, a in seeds[: min(k - 1, len(seeds))]:
             if h | c in (h, c):
                 continue
-            joined = kernels.closure_mask(ktab, h | 1 << a)
+            joined = kernels.closure_mask(ktab, 1 << a, h)
             if joined not in seen:
                 seen.add(joined)
                 masks.append(joined)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import io
@@ -182,6 +183,24 @@ def test_degrees_report_is_byte_identical_to_the_golden_report():
     )
 
 
+def test_wide_degrees_report_is_byte_identical_to_the_golden_report():
+    # the groups with the most subgroups among the benchmarked ones, where
+    # joins and brackets reuse memoized closures most; the digest is the
+    # one the benchmark checks its degrees-wide runs against
+    code, out = run_cli(
+        [
+            "degrees",
+            "-g", "C(2) x C(2) x C(2) x C(2) x C(2)",
+            "-g", "D(12) x C(2)",
+            "-g", "D(4) x C(2) x C(2)",
+        ]
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "2e340a1666fe68c645292d0e122d0710e2ee9a1027c5c0bf5cb7c80df5cdd3d8"
+    )
+
+
 def test_degrees_csv_report_is_byte_identical_to_the_golden_report():
     # the CSV writer's golden report, with a quoted label (M(3,3)) and
     # four ssd_n columns
@@ -307,11 +326,28 @@ class _ShortWrites(io.BufferedIOBase):
 
 
 def test_report_survives_short_writes(monkeypatch):
+    # reports longer than one slice, each slice cut into 100-byte writes
+    for fmt in ("json", "csv"):
+        argv = ["verify", "--all-up-to", "8", "--format", fmt]
+        code, expected = run_cli(argv)
+        sink = _ShortWrites()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(sink, encoding="utf-8"))
+        assert cli.main(argv) == code
+        sys.stdout.flush()
+        assert len(expected) > cli.REPORT_SLICE
+        assert sink.data.decode("utf-8") == expected
+
+
+def test_report_in_a_stateful_encoding_is_encoded_once(monkeypatch):
+    # UTF-16 starts with a byte-order mark: slices encoded one by one,
+    # each from scratch, would repeat it
     argv = ["degrees", "-g", "S(4)"]
     expected = run_cli(argv)[1]
+    monkeypatch.setattr(cli, "REPORT_SLICE", 100)
     sink = _ShortWrites()
-    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(sink, encoding="utf-8"))
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(sink, encoding="utf-16"))
     assert cli.main(argv) == 0
     sys.stdout.flush()
-    assert len(expected) > 100
-    assert sink.data.decode("utf-8") == expected
+    assert len(expected) > cli.REPORT_SLICE
+    assert sink.data.decode("utf-16") == expected
+    assert sink.data.count(codecs.BOM_UTF16) == 1

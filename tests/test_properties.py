@@ -24,6 +24,7 @@ from latdeg import (
     degrees,
     direct_product,
     enumerate_subgroups,
+    make_symmetric,
     normal_subgroups,
     quotient,
 )
@@ -80,6 +81,37 @@ def test_closure_mask_matches_oracle_on_any_mask(labels, data):
         mask = data.draw(st.integers(0, (1 << group.order) - 1))
         expected = _mask(oracles.closure(group.table, _set(mask)))
         assert kernels.closure_mask(tab, mask) == expected
+
+
+@few
+@given(labels=group_labels(), data=st.data())
+def test_closure_mask_from_a_member_matches_oracle(labels, data):
+    group, lat = group_and_lattice(labels)
+    tab = kernels.prepare_table(group.table)
+    for _ in range(5):
+        base = lat[data.draw(st.integers(0, len(lat) - 1))].mask
+        mask = data.draw(st.integers(0, (1 << group.order) - 1))
+        expected = _mask(oracles.closure(group.table, _set(mask | base)))
+        assert kernels.closure_mask(tab, mask, base) == expected
+
+
+@few
+@given(labels=group_labels())
+def test_recorded_generators_generate_their_member(labels):
+    group, lat = group_and_lattice(labels)
+    for sub in lat:
+        gens = group.ktab.generators(sub.mask)
+        # each generator at least doubles the group reached before it
+        assert 2 ** len(gens) <= sub.size
+        assert _mask(oracles.closure(group.table, gens)) == sub.mask
+
+
+@few
+@given(labels=group_labels())
+def test_cyclic_positions_match_oracle(labels):
+    group, lat = group_and_lattice(labels)
+    for e in range(group.order):
+        assert lat[lat.cyclic[e]].mask == _mask(oracles.closure(group.table, {e}))
 
 
 @few
@@ -151,6 +183,34 @@ def test_commutator_closure_matches_oracle_on_subgroup_pairs(labels, data):
     for i, j in pairs:
         h, k = lat[i].mask, lat[j].mask
         expected = oracles.commutator_subgroup(group.table, _set(h), _set(k))
+        assert kernels.commutator_closure_mask(tab, h, k) == _mask(expected)
+
+
+def test_s4_pairs_sharing_a_seed_set_match_oracle():
+    # [H, K] is the normal closure in <H, K> of the seed set S, the
+    # commutators of the generators of H and K, and <S> is memoized per
+    # table by S.  Find two pairs with one S: <S> is normal in <H, K> for
+    # the first, and the second needs the normal closure grown from <S>.
+    s4 = make_symmetric(4)
+    table = s4.table
+    lat = enumerate_subgroups(s4)
+    tab = kernels.prepare_table(table)
+    by_seeds: dict[frozenset, dict[bool, tuple[int, int]]] = {}
+    for h in lat:
+        for k in lat:
+            seeds = frozenset(
+                oracles.commutator(table, x, y)
+                for x in tab.generators(h.mask)
+                for y in tab.generators(k.mask)
+            )
+            bracket = oracles.commutator_subgroup(table, _set(h.mask), _set(k.mask))
+            normal = bracket == oracles.closure(table, seeds)
+            by_seeds.setdefault(seeds, {}).setdefault(normal, (h.mask, k.mask))
+    pairs = next(kinds for kinds in by_seeds.values() if len(kinds) == 2)
+    # on one table, so the second pair reads <S> from the first's memo
+    for normal in (True, False):
+        h, k = pairs[normal]
+        expected = oracles.commutator_subgroup(table, _set(h), _set(k))
         assert kernels.commutator_closure_mask(tab, h, k) == _mask(expected)
 
 
