@@ -1,11 +1,21 @@
 """Pure-Python kernels over multiplication tables and element bitmasks.
 
 Element sets are arbitrary-precision ints with bit ``i`` standing for
-element ``i``.  Every function takes a prepared table handle as returned
+element ``i``.  Every kernel takes a prepared table handle as returned
 by :func:`prepare_table`.
 """
 
 from __future__ import annotations
+
+
+def bit_positions(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class Table:
@@ -52,7 +62,7 @@ class Table:
         if out is None:
             cent = self.centralizers()
             out = (1 << self.n) - 1
-            for h in _bits(hmask):
+            for h in bit_positions(hmask):
                 out &= cent[h]
             self._group_centralizer[hmask] = out
         return out
@@ -79,13 +89,6 @@ class Table:
 
 def prepare_table(rows) -> Table:
     return Table(rows)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _dimino(tab: Table, mask: int, base: int = 1) -> tuple[int, list[int]]:
@@ -143,8 +146,8 @@ def closure_mask(tab: Table, mask: int, base: int = 1) -> int:
 def product_mask(tab: Table, amask: int, bmask: int) -> int:
     rows = tab.rows
     out = 0
-    bs = list(_bits(bmask))
-    for a in _bits(amask):
+    bs = bit_positions(bmask)
+    for a in bit_positions(amask):
         ra = rows[a]
         for b in bs:
             out |= 1 << ra[b]
@@ -231,7 +234,7 @@ def count_commuting_pairs(tab: Table) -> int:
 def sum_centralizer_orders(tab: Table, hmask: int, kmask: int) -> int:
     """Sum over h in H of |C_K(h)|."""
     cent = tab.centralizers()
-    return sum((cent[h] & kmask).bit_count() for h in _bits(hmask))
+    return sum((cent[h] & kmask).bit_count() for h in bit_positions(hmask))
 
 
 def count_trivial_iterated_commutators(tab: Table, brackets: int, mask: int) -> int:
@@ -248,7 +251,7 @@ def count_trivial_iterated_commutators(tab: Table, brackets: int, mask: int) -> 
     rows = tab.rows
     inv = tab.inv
     cent = tab.centralizers()
-    elems = list(_bits(mask))
+    elems = bit_positions(mask)
     counts = {e: 1 for e in elems}
     for _ in range(brackets - 1):
         folded: dict[int, int] = {}
@@ -278,7 +281,7 @@ def is_associative(tab: Table) -> bool:
 def is_normal_mask(tab: Table, mask: int) -> bool:
     rows = tab.rows
     inv = tab.inv
-    hs = list(_bits(mask))
+    hs = bit_positions(mask)
     for a in range(tab.n):
         ra = rows[a]
         ia = inv[a]

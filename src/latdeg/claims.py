@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from latdeg import _kernels as kernels
 from latdeg import characters, degrees
 from latdeg.arith import is_prime, sigma, tau
 from latdeg.degrees import BudgetExceeded, DEFAULT_TUPLE_BUDGET
@@ -81,12 +80,10 @@ class _Context:
         self.tuple_budget = tuple_budget
         self.cap = cap
         self.lattice = enumerate_subgroups(group, cap=cap)
-        self._cent: dict[tuple[int, int], int] = {}
         self._quotients: dict[int, tuple[int, Fraction]] = {}
         self._ssd_multi: dict[tuple[int, int, int | None], Fraction] = {}
         self._d_multi: dict[tuple[int, int], Fraction] = {}
         self._normal: list[int] | None = None
-        self._pair_sums: tuple[Fraction, int] | None = None
         self._factors: tuple[list | None, str | None] | None = None
 
     # -- lattice-level basics -------------------------------------------
@@ -114,47 +111,31 @@ class _Context:
     def sd(self) -> Fraction:
         return degrees.sd_group(self.group, self.lattice)
 
-    def phi_count(self) -> int:
-        return sum(r.bit_count() for r in self.phi_rows())
-
-    def cent_size(self, k_idx: int, h_idx: int) -> int:
-        """|C_K(H)| = |K n C_G(H)| for lattice members by position; the
-        table memoizes C_G(H)."""
-        key = (k_idx, h_idx)
-        if key not in self._cent:
-            self._cent[key] = kernels.centralizer_mask(
-                self.group.ktab,
-                self.lattice[k_idx].mask,
-                self.lattice[h_idx].mask,
-            ).bit_count()
-        return self._cent[key]
-
-    def _centralizer_pair_sums(self) -> tuple[Fraction, int]:
-        """(sum of d(H, K), sum of d(H, K) |H| |K|) over all ordered
-        lattice pairs, from one pass over the unordered pairs."""
-        if self._pair_sums is None:
-            subs = self.lattice.subgroups
-            ktab = self.group.ktab
-            square = self.group.order ** 2  # |H| |K| divides it
-            scaled = weighted = 0
-            for i, h in enumerate(subs):
-                for j in range(i, len(subs)):
-                    k = subs[j]
-                    c = kernels.sum_centralizer_orders(ktab, h.mask, k.mask)
-                    if i != j:
-                        c *= 2
-                    weighted += c
-                    scaled += c * (square // (h.size * k.size))
-            self._pair_sums = (Fraction(scaled, square), weighted)
-        return self._pair_sums
+    def commuting_sum(self, weight: list[int]) -> int:
+        """Sum of weight[h] weight[k] over the commuting element pairs
+        (h, k).  C_G(h) is the highest member of phi_rows[cyclic[h]]."""
+        lat = self.lattice
+        rows = self.phi_rows()
+        inner: dict[int, int] = {}  # by the position of C_G(h)
+        total = 0
+        for h, c in enumerate(lat.cyclic):
+            top = rows[c].bit_length() - 1
+            if top not in inner:
+                inner[top] = sum(weight[k] for k in lat[top].members())
+            total += weight[h] * inner[top]
+        return total
 
     def d_pair_sum(self) -> Fraction:
-        """Sum of d(H, K) over all ordered lattice pairs."""
-        return self._centralizer_pair_sums()[0]
-
-    def weighted_cent_sum(self) -> int:
-        """Sum over ordered pairs of d(H, K) |H| |K|, an integer."""
-        return self._centralizer_pair_sums()[1]
+        """Sum of d(H, K) over all ordered lattice pairs.  A commuting
+        element pair (h, k) adds 1/(|H||K|) for every H holding h and K
+        holding k, so with w[e] the sum of |G|/|H| over the members H
+        holding e, the sum is that of w[h] w[k] over |G|^2."""
+        lat = self.lattice
+        n = self.group.order
+        w = [
+            sum(n // lat[i].size for i in bit_positions(lat.up[c])) for c in lat.cyclic
+        ]
+        return Fraction(self.commuting_sum(w), n * n)
 
     # -- derived data ----------------------------------------------------
 
@@ -203,9 +184,6 @@ class _Context:
                 factors = [(f, enumerate_subgroups(f, cap=self.cap)) for f in factors]
             self._factors = (factors, reason)
         return self._factors
-
-    def is_cyclic_subgroup(self, s: Subgroup) -> bool:
-        return any(self.group.order_of(a) == s.size for a in s.members())
 
 
 CLAIMS: dict[str, Claim] = {}
@@ -293,24 +271,24 @@ def _c2(ctx: _Context):
     "every group, K universally quantified",
 )
 def _c3(ctx: _Context):
+    # sum over H of |C_K(H)| counts each x in K once per member H inside
+    # C_G(x); d(H, K)|H||K| counts the commuting pairs of H x K.  With
+    # c = cyclic[x], up[c] holds the members holding x and phi_rows[c]
+    # the members inside C_G(x)
     sd_value = ctx.sd()
     size = ctx.size
-    for k_idx in range(size):
-        bound = Fraction(
-            sum(ctx.cent_size(k_idx, h_idx) for h_idx in range(size)), size * size
-        )
+    lat = ctx.lattice
+    rows = ctx.phi_rows()
+    holding = [lat.up[c].bit_count() for c in lat.cyclic]
+    centralizing = [rows[c].bit_count() for c in lat.cyclic]
+    for k_idx, k in enumerate(lat.subgroups):
+        bound = Fraction(sum(centralizing[x] for x in k.members()), size * size)
         yield _res(
             ctx, "C3", f"K=#{k_idx}", sd_value >= bound, sd_value, bound,
-            witnesses=()
-            if sd_value >= bound
-            else (f"K={ctx.lattice[k_idx].bitstring()}",),
+            witnesses=() if sd_value >= bound else (f"K={k.bitstring()}",),
         )
-    lhs = ctx.weighted_cent_sum()
-    rhs = sum(
-        ctx.cent_size(k_idx, h_idx)
-        for k_idx in range(size)
-        for h_idx in range(size)
-    )
+    lhs = ctx.commuting_sum(holding)
+    rhs = sum(h * c for h, c in zip(holding, centralizing))
     yield _res(ctx, "C3", "sum", lhs >= rhs, lhs, rhs)
 
 
@@ -446,20 +424,24 @@ def _c8(ctx: _Context):
     ssd_g = ctx.ssd()
     sd_g = ctx.sd()
     size = ctx.size
-    for h_idx, h in enumerate(ctx.lattice.subgroups):
-        dom = bit_positions(ctx.lattice.down[h_idx])
+    lat = ctx.lattice
+    rows = ctx.phi_rows()
+    for h_idx, h in enumerate(lat.subgroups):
+        below = lat.down[h_idx]
+        dom = bit_positions(below)
         l_h = len(dom)
-        lhs = Fraction(l_h**2, size**2) * ctx.sub_degree(ctx.phi_rows(), h_idx)
+        lhs = Fraction(l_h**2, size**2) * ctx.sub_degree(rows, h_idx)
         yield _res(ctx, "C8", f"H=#{h_idx}", lhs <= ssd_g, lhs, ssd_g)
         sd_h = ctx.sub_degree(ctx.perm_rows(), h_idx)
         yield _res(
             ctx, "C8", f"H=#{h_idx}|sd-chain", sd_h <= sd_g, sd_h, sd_g,
             witnesses=() if sd_h <= sd_g else (f"H={h.bitstring()}",),
         )
+        # sum over L <= H of |C_M(L)| counts each x in M once per member
+        # L <= H inside C_G(x)
+        inside = {x: (rows[lat.cyclic[x]] & below).bit_count() for x in h.members()}
         for m_idx in dom:
-            bound = Fraction(
-                sum(ctx.cent_size(m_idx, l_idx) for l_idx in dom), size**2
-            )
+            bound = Fraction(sum(inside[x] for x in lat[m_idx].members()), size**2)
             yield _res(
                 ctx, "C8", f"H=#{h_idx},M=#{m_idx}", bound <= sd_h, bound, sd_h
             )
@@ -675,10 +657,10 @@ def _c16(ctx: _Context):
         yield _not_applicable(ctx, "C16", "lattice size is not sigma+tau of |G|/2")
         return
     derived = g.derived_series()[1]
-    if not ctx.is_cyclic_subgroup(derived):
+    if ctx.lattice.index(derived) not in ctx.lattice.cyclic:
         yield _not_applicable(ctx, "C16", "derived subgroup is not cyclic")
         return
-    mid = ctx.phi_count()
+    mid = sum(r.bit_count() for r in ctx.phi_rows())
     lower = Fraction((tau(derived.size) + 1) ** 2, ctx.size**2)
     upper = Fraction(g.order**2, ctx.size**2) * ctx.d_pair_sum()
     yield _res(ctx, "C16", "lower", lower <= mid, lower, mid)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from latdeg import _kernels as kernels
+from latdeg._kernels.pure import bit_positions
 from latdeg.arith import is_prime
 
 DEFAULT_ORDER_CAP = 200
@@ -54,16 +55,6 @@ def _check_cap(order: int, cap: int | None, what: str) -> None:
     limit = order_cap(cap)
     if order > limit:
         raise OrderCapExceeded(f"{what} has order {order}, above the cap {limit}")
-
-
-def bit_positions(mask: int) -> list[int]:
-    """Positions of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 @dataclass(frozen=True)
@@ -106,8 +97,6 @@ class Subgroup:
 
 class Group:
     """Immutable finite group given by its multiplication table."""
-
-    IDENTITY = 0
 
     def __init__(
         self,
@@ -156,10 +145,6 @@ class Group:
         return f"Group({self.label!r}, order={self.order})"
 
     @property
-    def identity(self) -> int:
-        return 0
-
-    @property
     def ktab(self):
         """Kernel-prepared table, built once on first use."""
         if self._ktab is None:
@@ -168,13 +153,6 @@ class Group:
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self._inv[a]
-
-    def conjugate(self, a: int, g: int) -> int:
-        """a * g * a^-1."""
-        return self.table[self.table[a][g]][self._inv[a]]
 
     def commutator(self, x: int, y: int) -> int:
         """x^-1 * y^-1 * x * y."""

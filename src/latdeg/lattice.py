@@ -118,10 +118,6 @@ class Lattice:
         common = self.up[i] & self.up[j]
         return (common & -common).bit_length() - 1
 
-    def sublattice_indices(self, top: Subgroup) -> tuple[int, ...]:
-        """Positions of all members contained in the member ``top``."""
-        return tuple(bit_positions(self.down[self.index(top)]))
-
     @property
     def perm_rows(self) -> tuple[int, ...]:
         """Row i: the members L_j with L_i L_j = L_j L_i.

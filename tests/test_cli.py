@@ -171,6 +171,23 @@ def test_verify_report_is_byte_identical_to_the_golden_report(fmt, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def test_verify_product_report_is_byte_identical_to_the_golden_report():
+    # direct products, where C9 and C12 apply on the coprime ones and the
+    # centralizer sums of C2, C3, C8 and C16 run over the most members
+    code, out = run_cli(
+        [
+            "verify",
+            "-g", "S(3) x C(5)",
+            "-g", "Q8 x C(3)",
+            "-g", "D(4) x C(2) x C(2)",
+        ]
+    )
+    assert code == 1
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "5c08912431c54d5cc78fdb645731075376fcbdd66b9bd7629f1e80f450a5bf90"
+    )
+
+
 def test_degrees_report_is_byte_identical_to_the_golden_report():
     # a refactor keeps every report byte for byte; S(5) is the group
     # where the non-commuting brackets weigh most

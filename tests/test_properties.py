@@ -248,6 +248,57 @@ def test_quotient_stats_match_oracle_on_built_quotients(labels):
 
 
 @few
+@given(labels=group_labels(max_order=32))
+@example(labels=("D(6)",))  # C16 applies: |L| = sigma(6) + tau(6), G' cyclic
+@example(labels=("S(4)",))  # nonabelian, 30 members
+def test_centralizer_sums_of_claims_match_oracle(labels):
+    # C2, C3, C8 and C16 count centralizers off per-element lattice rows;
+    # every centralizer-side value is recomputed here pair by pair
+    group, lat = group_and_lattice(labels)
+    table = group.table
+    sets = [_set(s.mask) for s in lat]
+    assert set(sets) == oracles.subgroups(table)
+    size = len(sets)
+    # cent[k][h] = |C_K(H)| for the members K = L_k and H = L_h
+    cent = [[len(oracles.centralizer(table, k, h)) for h in sets] for k in sets]
+    d_sum = sum(oracles.d_pair(table, h, k) for h in sets for k in sets)
+    d_scaled = Fraction(group.order**2, size**2) * d_sum
+    records = {
+        (r.claim_id, r.instance): r
+        for cid in ("C2", "C3", "C8", "C16")
+        for r in claims.run_claim(cid, group)
+    }
+    if group.order > 1:
+        assert records["C2", ""].rhs == d_scaled
+    for k in range(size):
+        assert records["C3", f"K=#{k}"].rhs == Fraction(sum(cent[k]), size**2)
+    weighted = sum(
+        oracles.d_pair(table, h, k) * len(h) * len(k) for h in sets for k in sets
+    )
+    assert (records["C3", "sum"].lhs, records["C3", "sum"].rhs) == (
+        weighted,
+        sum(map(sum, cent)),
+    )
+    for h, top in enumerate(sets):
+        below = [m for m, sub in enumerate(sets) if sub <= top]
+        for m in below:
+            expected = Fraction(sum(cent[m][l] for l in below), size**2)
+            assert records["C8", f"H=#{h},M=#{m}"].lhs == expected
+    derived = oracles.commutator_subgroup(table, set(table[0]), set(table[0]))
+    cyclic = any(oracles.closure(table, {e}) == derived for e in derived)
+    if ("C16", "upper") in records:
+        assert cyclic
+        commuting = sum(
+            1 for h in range(size) for k in range(size) if cent[h][k] == len(sets[h])
+        )
+        assert records["C16", "lower"].rhs == commuting
+        assert records["C16", "upper"].lhs == commuting
+        assert records["C16", "upper"].rhs == d_scaled
+    elif records["C16", ""].note == "derived subgroup is not cyclic":
+        assert not cyclic
+
+
+@few
 @given(labels=group_labels(max_order=32), data=st.data())
 def test_ssd_multi_matches_oracle_with_and_without_codomain(labels, data):
     group, lat = group_and_lattice(labels)
