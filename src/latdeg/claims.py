@@ -12,6 +12,7 @@ the runner's job is to document exactly where.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -43,7 +44,7 @@ class Claim:
     applicability: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClaimResult:
     claim_id: str
     group_label: str
@@ -760,12 +761,14 @@ def run_claim(claim_id: str, group: Group, params: dict | None = None) -> list[C
 
 
 def run_suite(
-    groups: list[Group],
+    groups: Iterable[Group],
     claim_filter: list[str] | None = None,
     params: dict | None = None,
 ) -> SuiteReport:
     """Run every (selected) claim on every group, in registry-then-group
-    order."""
+    order.  ``groups`` is iterated once: an iterator that hands out each
+    group on its turn, as the CLI's does, lets a finished group and its
+    kernel table be freed before the next group runs."""
     ids = list(CLAIMS) if claim_filter is None else list(claim_filter)
     for cid in ids:
         if cid not in CLAIMS:
@@ -774,14 +777,16 @@ def run_suite(
     # one context (lattice and caches) alive at a time; results are
     # collected per claim, so the report keeps registry-then-group order
     per_claim: list[list[ClaimResult]] = [[] for _ in ids]
+    labels: list[str] = []
     for g in groups:
+        labels.append(g.label)
         ctx = _Context(g, n_max, budget, cap)
         for found, cid in zip(per_claim, ids):
             found.extend(_run_one(cid, ctx))
         del ctx  # before the next group's lattice is enumerated
     return SuiteReport(
         results=tuple(r for found in per_claim for r in found),
-        group_labels=tuple(g.label for g in groups),
+        group_labels=tuple(labels),
         claim_ids=tuple(ids),
     )
 

@@ -15,21 +15,24 @@ budget exceeded.  Identical invocations produce byte-identical output.
 
 Reports are written by one formatter.  Each record is flattened once,
 every rational to its num/den/approx strings, and the JSON and CSV
-writers of both subcommands read those fields.  The JSON writer formats
-the text directly, with strings escaped by the C function that
-``json.dumps`` uses, and its output stays byte-identical to the earlier
-``json.dumps(records, indent=2)`` layout.
+writers of both subcommands read those fields.  The writers are
+generators of text chunks, and a report is streamed: only the current
+slice of its text is held, never the whole.  They format the text
+directly.  JSON strings are escaped by the C function that
+``json.dumps`` uses and CSV fields are quoted as ``csv.writer`` quotes
+them, so the output stays byte-identical to the earlier
+``json.dumps(records, indent=2)`` and ``csv.writer`` layouts.
 """
 
 from __future__ import annotations
 
 import argparse
 import codecs
-import csv
-import io
+import errno
+import os
 import re
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -171,12 +174,15 @@ def parse_group_spec(text: str) -> GroupSpec:
 
 
 def _approx12(value: Fraction | int) -> str:
-    """Round-half-even decimal expansion with exactly 12 places."""
+    """Decimal expansion with exactly 12 places: the magnitude rounded
+    half to even, then the sign of ``value``."""
     scale = 10**12
-    q, r = divmod(value.numerator * scale, value.denominator)
-    if 2 * r > value.denominator or (2 * r == value.denominator and q % 2):
+    num, den = value.numerator, value.denominator
+    q, r = divmod(abs(num) * scale, den)
+    if 2 * r > den or (2 * r == den and q % 2):
         q += 1
-    return f"{q // scale}.{q % scale:012d}"
+    sign = "-" if num < 0 else ""
+    return f"{sign}{q // scale}.{q % scale:012d}"
 
 
 Rational = tuple[str, str, str]
@@ -204,17 +210,32 @@ def _rational_json(r: Rational | None, pad: str) -> str:
     )
 
 
-def _json_list(items: list[str], pad: str, end: str = "") -> str:
-    """JSON ``items`` as a list closed at indentation ``pad``, then ``end``.
-
-    The brackets go onto the first and the last item, so that a long
-    report is copied only once, by the join.
-    """
+def _json_list(items: list[str], pad: str) -> str:
+    """JSON ``items`` as a list closed at indentation ``pad``."""
     if not items:
-        return "[]" + end
-    items[0] = "[\n" + pad + "  " + items[0]
-    items[-1] += "\n" + pad + "]" + end
-    return (",\n" + pad + "  ").join(items)
+        return "[]"
+    return "[\n" + pad + "  " + (",\n" + pad + "  ").join(items) + "\n" + pad + "]"
+
+
+def _json_report(records: Iterable[str]) -> Iterator[str]:
+    """A report's JSON text from its formatted ``records``: ``[``, the
+    separators and ``]`` are emitted around each record, which is never
+    joined to the others."""
+    sep = "[\n  "
+    for record in records:
+        yield sep
+        yield record
+        sep = ",\n  "
+    yield "[]\n" if sep == "[\n  " else "\n]\n"
+
+
+def _csv_str(text: str) -> str:
+    """``text`` as a CSV field, as ``csv.writer`` writes it with "\\n" line
+    ends: quoted, its quotes doubled, if it holds a comma, a quote or a
+    line feed."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _degrees_entry(spec: GroupSpec, n_max: int, cap: int | None) -> tuple:
@@ -238,38 +259,37 @@ def _degrees_entry(spec: GroupSpec, n_max: int, cap: int | None) -> tuple:
     )
 
 
-def _degrees_json(entries: list[tuple]) -> str:
-    return _json_list(
-        [
-            f'{{\n    "group": {_json_str(label)},\n    "order": {order},\n'
-            f'    "lattice_size": {size},\n    "class_count": {classes},\n'
-            f'    "d": {_rational_json(d, "    ")},\n'
-            f'    "sd": {_rational_json(sd, "    ")},\n'
-            f'    "ssd": {_rational_json(ssd, "    ")},\n'
-            f'    "ssd_n": '
-            f'{_json_list([_rational_json(r, "      ") for r in ssd_n], "    ")}'
-            f"\n  }}"
-            for label, order, size, classes, d, sd, ssd, ssd_n in entries
-        ],
-        "",
-        "\n",
+def _degrees_json(entries: Iterable[tuple]) -> Iterator[str]:
+    return _json_report(
+        f'{{\n    "group": {_json_str(label)},\n    "order": {order},\n'
+        f'    "lattice_size": {size},\n    "class_count": {classes},\n'
+        f'    "d": {_rational_json(d, "    ")},\n'
+        f'    "sd": {_rational_json(sd, "    ")},\n'
+        f'    "ssd": {_rational_json(ssd, "    ")},\n'
+        f'    "ssd_n": '
+        f'{_json_list([_rational_json(r, "      ") for r in ssd_n], "    ")}'
+        f"\n  }}"
+        for label, order, size, classes, d, sd, ssd, ssd_n in entries
     )
 
 
-def _degrees_csv(entries: list[tuple], n_max: int) -> str:
-    buf = io.StringIO()
+def _degrees_csv(entries: Iterable[tuple], n_max: int) -> Iterator[str]:
     fields = ["group", "order", "lattice_size", "class_count"]
     for name in ("d", "sd", "ssd"):
         fields += [f"{name}_num", f"{name}_den", f"{name}_approx"]
     for n in range(1, n_max + 1):
         fields += [f"ssd{n}_num", f"ssd{n}_den", f"ssd{n}_approx"]
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
-    writer.writerows(
-        [label, order, size, classes, *d, *sd, *ssd, *chain.from_iterable(ssd_n)]
+    yield ",".join(fields) + "\n"
+    yield from (
+        ",".join(
+            [
+                _csv_str(label), str(order), str(size), str(classes),
+                *d, *sd, *ssd, *chain.from_iterable(ssd_n),
+            ]
+        )
+        + "\n"
         for label, order, size, classes, d, sd, ssd, ssd_n in entries
     )
-    return buf.getvalue()
 
 
 def _verify_record(r: claims.ClaimResult) -> tuple:
@@ -288,50 +308,42 @@ def _verify_record(r: claims.ClaimResult) -> tuple:
     )
 
 
-def _verify_json(records: Iterable[tuple]) -> str:
-    return _json_list(
-        [
-            f'{{\n    "claim": {_json_str(claim)},\n'
-            f'    "group": {_json_str(group)},\n'
-            f'    "instance": {_json_str(instance)},\n'
-            f'    "applicable": {_JSON_FLAG[applicable]},\n'
-            f'    "holds": {_JSON_FLAG[holds]},\n'
-            f'    "strict": {_JSON_FLAG[strict]},\n'
-            f'    "lhs": {_rational_json(lhs, "    ")},\n'
-            f'    "rhs": {_rational_json(rhs, "    ")},\n'
-            f'    "witnesses": '
-            f'{_json_list([_json_str(w) for w in witnesses], "    ")},\n'
-            f'    "note": {"null" if note is None else _json_str(note)}\n  }}'
-            for claim, group, instance, applicable, holds, strict, lhs, rhs,
-            witnesses, note in records
-        ],
-        "",
-        "\n",
-    )
-
-
-def _verify_csv(records: Iterable[tuple]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "claim", "group", "instance", "applicable", "holds", "strict",
-            "lhs_num", "lhs_den", "lhs_approx",
-            "rhs_num", "rhs_den", "rhs_approx",
-            "witnesses", "note",
-        ]
-    )
-    writer.writerows(
-        [
-            claim, group, instance,
-            _CSV_FLAG[applicable], _CSV_FLAG[holds], _CSV_FLAG[strict],
-            *(lhs or _NO_RATIONAL), *(rhs or _NO_RATIONAL),
-            ";".join(witnesses), note or "",
-        ]
+def _verify_json(records: Iterable[tuple]) -> Iterator[str]:
+    return _json_report(
+        f'{{\n    "claim": {_json_str(claim)},\n'
+        f'    "group": {_json_str(group)},\n'
+        f'    "instance": {_json_str(instance)},\n'
+        f'    "applicable": {_JSON_FLAG[applicable]},\n'
+        f'    "holds": {_JSON_FLAG[holds]},\n'
+        f'    "strict": {_JSON_FLAG[strict]},\n'
+        f'    "lhs": {_rational_json(lhs, "    ")},\n'
+        f'    "rhs": {_rational_json(rhs, "    ")},\n'
+        f'    "witnesses": '
+        f'{_json_list([_json_str(w) for w in witnesses], "    ")},\n'
+        f'    "note": {"null" if note is None else _json_str(note)}\n  }}'
         for claim, group, instance, applicable, holds, strict, lhs, rhs,
         witnesses, note in records
     )
-    return buf.getvalue()
+
+
+def _verify_csv(records: Iterable[tuple]) -> Iterator[str]:
+    yield (
+        "claim,group,instance,applicable,holds,strict,"
+        "lhs_num,lhs_den,lhs_approx,rhs_num,rhs_den,rhs_approx,witnesses,note\n"
+    )
+    yield from (
+        ",".join(
+            [
+                _csv_str(claim), _csv_str(group), _csv_str(instance),
+                _CSV_FLAG[applicable], _CSV_FLAG[holds], _CSV_FLAG[strict],
+                *(lhs or _NO_RATIONAL), *(rhs or _NO_RATIONAL),
+                _csv_str(";".join(witnesses)), _csv_str(note or ""),
+            ]
+        )
+        + "\n"
+        for claim, group, instance, applicable, holds, strict, lhs, rhs,
+        witnesses, note in records
+    )
 
 
 def _error(message: object, code: int) -> int:
@@ -352,8 +364,29 @@ def _settings(args: argparse.Namespace) -> int:
     return order_cap(args.order_cap)
 
 
-def _write_stdout(text: str) -> None:
-    """Write ``text`` to stdout in full.
+def _slices(chunks: Iterable[str]) -> Iterator[str]:
+    """The text of ``chunks`` in slices of REPORT_SLICE characters; the
+    last is shorter and may be empty."""
+    held: list[str] = []
+    count = 0
+    for chunk in chunks:
+        held.append(chunk)
+        count += len(chunk)
+        if count >= REPORT_SLICE:
+            text = "".join(held)
+            held.clear()
+            cut = count - count % REPORT_SLICE
+            for start in range(0, cut, REPORT_SLICE):
+                yield text[start : start + REPORT_SLICE]
+            held.append(text[cut:])
+            count -= cut
+            del text
+    yield "".join(held)
+
+
+def _write_stdout(chunks: Iterable[str]) -> None:
+    """Write the text of ``chunks`` to stdout in full; OSError if it
+    cannot be written, also when stdout is closed.
 
     A pipe write cut short by a stop signal (SIGSTOP or job control,
     then SIGCONT) makes ``BufferedWriter.write`` return a short count,
@@ -362,32 +395,56 @@ def _write_stdout(text: str) -> None:
     that resumes after each short write.  It is encoded one slice of
     ``REPORT_SLICE`` characters at a time, by one incremental encoder
     so that a stateful encoding stays correct, and only the current
-    slice is held encoded.
+    slice is held, as text and encoded.
     """
     stream = sys.stdout
+    if stream is None:  # started with its file descriptor closed
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
     buffer = getattr(stream, "buffer", None)
     if buffer is None:  # an in-memory stream, as under redirect_stdout
-        stream.write(text)
+        stream.writelines(chunks)
         return
     stream.flush()
     encode = codecs.getincrementalencoder(stream.encoding)(stream.errors).encode
-    for start in range(0, len(text) + 1, REPORT_SLICE):
-        end = start + REPORT_SLICE
-        data = memoryview(encode(text[start:end], end > len(text)))
-        while data:
-            data = data[buffer.write(data) :]
+
+    def put(data: bytes) -> None:
+        view = memoryview(data)
+        while view:
+            view = view[buffer.write(view) :]
+
+    for text in _slices(chunks):
+        put(encode(text))
+    put(encode("", True))
     buffer.flush()
 
 
-def _emit(text: str, out_path: str | None) -> int:
-    if not out_path:
-        _write_stdout(text)
-        return EXIT_OK
+def _drop_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so that the
+    interpreter's last flush of what a failed write left buffered does
+    not fail again at exit."""
     try:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
+def _emit(chunks: Iterable[str], out_path: str | None) -> int:
+    """Write a report's text, given as ``chunks``, to ``out_path`` or
+    stdout; exit 2 with one error line if it cannot be written."""
+    try:
+        if out_path:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(chunks)
+        else:
+            _write_stdout(chunks)
     except OSError as exc:
-        return _error(f"cannot write {out_path}: {exc.strerror or exc}", EXIT_USAGE)
+        if not out_path:
+            _drop_stdout()
+        target = out_path or "stdout"
+        return _error(f"cannot write {target}: {exc.strerror or exc}", EXIT_USAGE)
     return EXIT_OK
 
 
@@ -403,6 +460,14 @@ def cmd_degrees(args: argparse.Namespace) -> int:
     return _emit(_degrees_csv(entries, args.n_max), args.out)
 
 
+def _handed_out(items: list) -> Iterator:
+    """The items of ``items`` in order, each removed from the list as it
+    is handed out, so that the list holds no item after its turn."""
+    items.reverse()
+    while items:
+        yield items.pop()
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     claim_filter = None
     if args.claims:
@@ -414,17 +479,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         else:
             groups = [parse_group_spec(text).build(cap) for text in args.group]
         report = claims.run_suite(
-            groups,
+            _handed_out(groups),
             claim_filter=claim_filter,
             params={"n_max": args.n_max, "order_cap": cap},
         )
     except ValueError as exc:
         return _failure(exc)
     records = map(_verify_record, report.results)
-    if args.format == "json":
-        code = _emit(_verify_json(records), args.out)
-    else:
-        code = _emit(_verify_csv(records), args.out)
+    writer = _verify_json if args.format == "json" else _verify_csv
+    code = _emit(writer(records), args.out)
     if code != EXIT_OK:
         return code
     return EXIT_OK if report.all_hold else EXIT_CLAIM_FAILED

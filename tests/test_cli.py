@@ -2,18 +2,21 @@ from __future__ import annotations
 
 import codecs
 import csv
+import gc
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stdout
 
 import pytest
 
 import latdeg
-from latdeg import cli
+from latdeg import claims, cli
+from latdeg._kernels.pure import Table
 
 
 def run_cli(argv):
@@ -302,6 +305,15 @@ def test_unwritable_out_exits_2(argv, tmp_path, capsys):
     assert not target.exists()
 
 
+def test_verify_above_the_cap_fails_before_any_group_runs(monkeypatch, capsys):
+    def no_context(*args):
+        raise AssertionError("a group ran")
+
+    monkeypatch.setattr(claims, "_Context", no_context)
+    assert run_cli(["verify", "--all-up-to", "300"]) == (3, "")
+    assert "above the cap 200" in _one_line_error(capsys)
+
+
 @pytest.mark.parametrize(
     "argv", [["degrees", "-g", "C(4)"], ["verify", "-g", "C(4)", "--claims", "C1"]]
 )
@@ -368,3 +380,138 @@ def test_report_in_a_stateful_encoding_is_encoded_once(monkeypatch):
     assert len(expected) > cli.REPORT_SLICE
     assert sink.data.decode("utf-16") == expected
     assert sink.data.count(codecs.BOM_UTF16) == 1
+
+
+class _HashSink(io.RawIOBase):
+    """A binary stream that keeps only the length and sha256 of what is
+    written to it, so that it holds nothing of a report itself."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+        self.size = 0
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.digest.update(b)
+        self.size += len(b)
+        return len(b)
+
+
+@pytest.fixture(scope="module")
+def results24():
+    return claims.run_suite(claims.builtin_groups_up_to(24)).results
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_writer_holds_a_slice_not_the_report(fmt, results24, monkeypatch):
+    # verify --all-up-to 24 streamed to stdout: the writer's peak stays
+    # below a quarter of the report.  At the default slice, one slice and
+    # its encoding are already 128 KiB, a quarter of the CSV report, so
+    # the slice is made smaller here.
+    writer = cli._verify_json if fmt == "json" else cli._verify_csv
+    report = "".join(writer(map(cli._verify_record, results24))).encode("utf-8")
+    monkeypatch.setattr(cli, "REPORT_SLICE", 1 << 14)
+    sink = _HashSink()
+    stream = io.TextIOWrapper(io.BufferedWriter(sink), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stream)
+    tracemalloc.start()
+    try:
+        code = cli._emit(writer(map(cli._verify_record, results24)), None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert (sink.size, sink.digest.digest()) == (
+        len(report), hashlib.sha256(report).digest()
+    )
+    assert peak < len(report) / 4, (peak, len(report))
+
+
+def test_verify_holds_one_kernel_table_at_a_time(monkeypatch):
+    # a finished group's kernel table (with its centralizers, records and
+    # closures) is released before the next group's context is built
+    def live_tables():
+        gc.collect()
+        return sum(isinstance(o, Table) for o in gc.get_objects())
+
+    baseline = live_tables()
+    seen = []
+    build = claims._Context.__init__
+
+    def counting_init(self, *args):
+        seen.append(live_tables() - baseline)
+        build(self, *args)
+
+    monkeypatch.setattr(claims._Context, "__init__", counting_init)
+    code, out = run_cli(["verify", "--all-up-to", "12", "--claims", "C1"])
+    assert code == 0 and out
+    assert len(seen) == len(claims.builtin_groups_up_to(12))
+    assert max(seen) <= 1, seen
+
+
+def _cli_command(argv: list[str]) -> list[str]:
+    return [sys.executable, "-m", "latdeg.cli", *argv]
+
+
+def _cli_env() -> dict[str, str]:
+    # stdout buffered, as when run from a shell
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(latdeg.__file__))
+    return env
+
+
+def _assert_cannot_write_stdout(code: int, err: bytes) -> None:
+    # exit 2 with one error line: no traceback, and no "Exception
+    # ignored" from the interpreter's last flush of stdout
+    text = err.decode()
+    assert code == 2, text
+    assert text.startswith("error: cannot write stdout: "), text
+    assert text.count("\n") == 1, text
+
+
+def test_stdout_pipe_closed_after_10_bytes_exits_2():
+    # as `latdeg verify --all-up-to 24 | head -c 10`: the reader goes away
+    # after 10 bytes of a report far longer than a pipe holds
+    with subprocess.Popen(
+        _cli_command(["verify", "--all-up-to", "24"]),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_cli_env(),
+    ) as proc:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+        err = proc.stderr.read()
+    _assert_cannot_write_stdout(code, err)
+    assert head == b"[\n  {\n    "
+
+
+def test_stdout_pipe_closed_before_a_short_report_exits_2():
+    # a report shorter than stdout's buffer is still buffered when the
+    # write fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            _cli_command(["degrees", "-g", "S(3)"]),
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=_cli_env(),
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    _assert_cannot_write_stdout(proc.returncode, proc.stderr)
+
+
+def test_closed_stdout_exits_2():
+    # as `latdeg degrees -g 'S(3)' >&-`
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" "$@" >&-', *_cli_command(["degrees", "-g", "S(3)"])],
+        stderr=subprocess.PIPE,
+        env=_cli_env(),
+        timeout=120,
+    )
+    _assert_cannot_write_stdout(proc.returncode, proc.stderr)

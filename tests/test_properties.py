@@ -1,5 +1,5 @@
 """Property tests of the lattice core against the brute-force oracles,
-and of the report writer against ``json.dumps``.
+and of the report writers against ``json.dumps`` and the ``csv`` module.
 
 Groups are random direct products of built-in instances, of order at
 most 48.  Examples are derandomized and few, so the suite stays fast and
@@ -8,7 +8,10 @@ repeatable.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -326,8 +329,9 @@ def test_xi_matches_oracle(labels, data):
 
 
 # report strings with what JSON must escape: quotes, backslashes, control
-# characters, and non-ASCII text inside and outside the BMP
-TRICKY = '"\\/\n\t\x00\x1f\x7f \u00e9\u20ac\u2028\U0001f600a'
+# characters, and non-ASCII text inside and outside the BMP; and what CSV
+# must quote: commas, quotes and line feeds
+TRICKY = '"\\/\n\r\t,;\x00\x1f\x7f \u00e9\u20ac\u2028\U0001f600a'
 texts = st.text(st.sampled_from(TRICKY), max_size=6) | st.text(max_size=6)
 rationals = st.integers(-(10**15), 10**15) | st.fractions()
 flags = st.none() | st.booleans()
@@ -378,9 +382,54 @@ def _old_result_obj(r: claims.ClaimResult) -> dict:
     results=[claims.ClaimResult("C1", "S(3)", "", False, None, None, None)]
 )
 def test_verify_writer_matches_json_dumps(results):
-    text = cli._verify_json(map(cli._verify_record, results))
+    text = "".join(cli._verify_json(map(cli._verify_record, results)))
     expected = json.dumps([_old_result_obj(r) for r in results], indent=2)
     assert text == expected + "\n"
+
+
+def _old_csv(header: list[str], rows: list[list]) -> str:
+    # the CSV the reports were written with before the writer
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+@few
+@given(results=st.lists(claim_results, max_size=4))
+@example(results=[])
+@example(results=[claims.ClaimResult("C1", "S(3)", "", False, None, None, None)])
+@example(
+    results=[
+        claims.ClaimResult(
+            'C"1', "M(2,3)", "a\nb", True, False, Fraction(-1, 3), 2,
+            witnesses=("x,y", 'q"'), note="\r,",
+        )
+    ]
+)
+def test_verify_csv_writer_matches_csv_module(results):
+    records = list(map(cli._verify_record, results))
+    text = "".join(cli._verify_csv(records))
+    flag = {None: "", True: "true", False: "false"}
+    expected = _old_csv(
+        [
+            "claim", "group", "instance", "applicable", "holds", "strict",
+            "lhs_num", "lhs_den", "lhs_approx",
+            "rhs_num", "rhs_den", "rhs_approx",
+            "witnesses", "note",
+        ],
+        [
+            [
+                claim, group, instance, flag[applicable], flag[holds], flag[strict],
+                *(lhs or ("", "", "")), *(rhs or ("", "", "")),
+                ";".join(witnesses), note or "",
+            ]
+            for claim, group, instance, applicable, holds, strict, lhs, rhs,
+            witnesses, note in records
+        ],
+    )
+    assert text == expected
 
 
 @st.composite
@@ -419,4 +468,56 @@ def test_degrees_writer_matches_json_dumps(entries):
         }
         for label, order, size, classes, d, sd, ssd, ssd_n in entries
     ]
-    assert cli._degrees_json(flat) == json.dumps(old, indent=2) + "\n"
+    assert "".join(cli._degrees_json(flat)) == json.dumps(old, indent=2) + "\n"
+
+
+@few
+@given(entries=degrees_entries())
+@example(entries=[])
+@example(entries=[("D(4) x C(2)", 16, 35, 10, 1, 1, 1, [Fraction(-1, 3)])])
+@example(entries=[('M(2,3)"\n', 8, 6, 5, 1, 1, 1, [])])
+def test_degrees_csv_writer_matches_csv_module(entries):
+    flat = [
+        (label, order, size, classes, *map(cli._rational, (d, sd, ssd)),
+         [cli._rational(v) for v in ssd_n])
+        for label, order, size, classes, d, sd, ssd, ssd_n in entries
+    ]
+    n_max = len(flat[0][7]) if flat else 2
+    header = ["group", "order", "lattice_size", "class_count"]
+    for name in ("d", "sd", "ssd"):
+        header += [f"{name}_num", f"{name}_den", f"{name}_approx"]
+    for n in range(1, n_max + 1):
+        header += [f"ssd{n}_num", f"ssd{n}_den", f"ssd{n}_approx"]
+    expected = _old_csv(
+        header,
+        [
+            [label, order, size, classes, *d, *sd, *ssd, *(x for r in ssd_n for x in r)]
+            for label, order, size, classes, d, sd, ssd, ssd_n in flat
+        ],
+    )
+    assert "".join(cli._degrees_csv(flat, n_max)) == expected
+
+
+# exact ties at the twelfth place, m / (2 * 10**12) with m odd
+ties = st.integers(-(10**15), 10**15).map(lambda m: Fraction(2 * m + 1, 2 * 10**12))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    value=st.integers(-(10**15), 10**15)
+    | st.fractions(-(10**15), 10**15, max_denominator=10**15)
+    | ties
+)
+@example(value=Fraction(-1, 3))
+@example(value=Fraction(-1, 2))
+@example(value=Fraction(-5, 2 * 10**12))
+@example(value=Fraction(-1, 2 * 10**12))  # a tie that rounds to -0
+@example(value=Fraction(-1, 10**13))
+def test_approx12_matches_decimal_half_even(value):
+    # at 60 digits the quotient of values this size is never rounded onto
+    # a tie it is not
+    with localcontext() as ctx:
+        ctx.prec = 60
+        exact = Decimal(value.numerator) / Decimal(value.denominator)
+        expected = exact.quantize(Decimal(1).scaleb(-12), rounding=ROUND_HALF_EVEN)
+    assert cli._approx12(value) == f"{expected:f}"
