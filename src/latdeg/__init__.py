@@ -18,7 +18,6 @@ from latdeg.degrees import (
     d_group,
     d_multi,
     d_pair,
-    phi,
     sd_group,
     ssd_group,
     ssd_multi,
@@ -38,9 +37,6 @@ from latdeg.groups import (
 )
 from latdeg.lattice import (
     Lattice,
-    c_set,
-    centralizer_in,
-    comm_set,
     commutator_subgroup,
     enumerate_subgroups,
     normal_subgroups,
@@ -62,10 +58,7 @@ __all__ = [
     "SuiteReport",
     "bracket_table",
     "builtin_groups_up_to",
-    "c_set",
-    "centralizer_in",
     "class_count",
-    "comm_set",
     "commutator_subgroup",
     "d_group",
     "d_multi",
@@ -81,7 +74,6 @@ __all__ = [
     "normal_subgroups",
     "order_cap",
     "permutes",
-    "phi",
     "quotient",
     "run_claim",
     "run_suite",

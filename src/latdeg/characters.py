@@ -15,18 +15,18 @@ from latdeg.groups import Group, bit_positions
 from latdeg.lattice import Lattice
 
 
-def xi(g: Group, lat: Lattice, element: int) -> int:
-    if not 0 <= element < g.order:
+def xi(lat: Lattice, element: int) -> int:
+    if not 0 <= element < lat.group.order:
         raise ValueError(f"element index {element} out of range")
-    rows = phi_rows(g, lat)
+    rows = phi_rows(lat)
     below = lat.down[lat.cyclic[element]]
     return sum(rows[i].bit_count() for i in bit_positions(below))
 
 
-def ssd_cyclic(g: Group, lat: Lattice, element: int) -> Fraction:
+def ssd_cyclic(lat: Lattice, element: int) -> Fraction:
     """xi(g) normalized by |L(<g>)| * |L(G)|; equals the n = 1 iterated
     degree of the cyclic subgroup generated by the element."""
-    value = xi(g, lat, element)  # checks the element index
+    value = xi(lat, element)  # checks the element index
     lsub = lat.down[lat.cyclic[element]].bit_count()
     return Fraction(value, lsub * len(lat))
 
@@ -35,7 +35,7 @@ def class_count(g: Group) -> int:
     return len(g.conjugacy_classes())
 
 
-def equal_generator_invariance(g: Group, lat: Lattice) -> list[tuple[int, int]]:
+def equal_generator_invariance(lat: Lattice) -> list[tuple[int, int]]:
     """Violation pairs (x, y) with <x> = <y> but xi(x) != xi(y); empty
     when the invariance holds."""
     by_subgroup: dict[int, list[int]] = {}
@@ -43,8 +43,8 @@ def equal_generator_invariance(g: Group, lat: Lattice) -> list[tuple[int, int]]:
         by_subgroup.setdefault(cyc, []).append(a)
     violations = []
     for elems in by_subgroup.values():
-        first = xi(g, lat, elems[0])
+        first = xi(lat, elems[0])
         for other in elems[1:]:
-            if xi(g, lat, other) != first:
+            if xi(lat, other) != first:
                 violations.append((elems[0], other))
     return violations

@@ -31,7 +31,7 @@ from latdeg.groups import (
     make_quaternion,
     make_symmetric,
 )
-from latdeg.lattice import Lattice, enumerate_subgroups, normal_subgroups
+from latdeg.lattice import Lattice, enumerate_subgroups
 
 DEFAULT_N_MAX = 3
 
@@ -84,39 +84,21 @@ class _Context:
         self._quotients: dict[int, tuple[int, Fraction]] = {}
         self._ssd_multi: dict[tuple[int, int, int | None], Fraction] = {}
         self._d_multi: dict[tuple[int, int], Fraction] = {}
-        self._normal: list[int] | None = None
         self._factors: tuple[list | None, str | None] | None = None
-
-    # -- lattice-level basics -------------------------------------------
-
-    @property
-    def size(self) -> int:
-        return len(self.lattice)
-
-    def phi_rows(self) -> tuple[int, ...]:
-        return degrees.phi_rows(self.group, self.lattice)
-
-    def perm_rows(self) -> tuple[int, ...]:
-        return degrees.perm_rows(self.group, self.lattice)
 
     def sub_degree(self, rows: tuple[int, ...], i: int) -> Fraction:
         """The pair density of ``rows`` on the sublattice below L_i:
-        ssd(L_i) from ``phi_rows()``, sd(L_i) from ``perm_rows()``."""
+        ssd(L_i) from ``lattice.phi_rows``, sd(L_i) from
+        ``lattice.perm_rows``."""
         below = self.lattice.down[i]
         count = sum((rows[j] & below).bit_count() for j in bit_positions(below))
         return Fraction(count, below.bit_count() ** 2)
-
-    def ssd(self) -> Fraction:
-        return degrees.ssd_group(self.group, self.lattice)
-
-    def sd(self) -> Fraction:
-        return degrees.sd_group(self.group, self.lattice)
 
     def commuting_sum(self, weight: list[int]) -> int:
         """Sum of weight[h] weight[k] over the commuting element pairs
         (h, k).  C_G(h) is the highest member of phi_rows[cyclic[h]]."""
         lat = self.lattice
-        rows = self.phi_rows()
+        rows = lat.phi_rows
         inner: dict[int, int] = {}  # by the position of C_G(h)
         total = 0
         for h, c in enumerate(lat.cyclic):
@@ -138,21 +120,13 @@ class _Context:
         ]
         return Fraction(self.commuting_sum(w), n * n)
 
-    # -- derived data ----------------------------------------------------
-
-    def normal_indices(self) -> list[int]:
-        if self._normal is None:
-            normals = normal_subgroups(self.group, self.lattice)
-            self._normal = [self.lattice.index(s) for s in normals]
-        return self._normal
-
     def quotient_stats(self, n_idx: int) -> tuple[int, Fraction]:
         """(lattice size, ssd) of the quotient by a normal member N, read
         off the parent lattice: by the correspondence theorem L(G/N) is
         the up-set of N, and [H/N, K/N] = 1 iff [H, K] <= N."""
         if n_idx not in self._quotients:
             lat = self.lattice
-            brackets = degrees.bracket_table(self.group, lat).entries
+            brackets = degrees.bracket_table(lat).entries
             above = bit_positions(lat.up[n_idx])
             inside = lat.down[n_idx]
             count = sum(inside >> brackets[i][j] & 1 for i in above for j in above)
@@ -163,7 +137,7 @@ class _Context:
         key = (h.mask, n, codomain.mask if codomain is not None else None)
         if key not in self._ssd_multi:
             self._ssd_multi[key] = degrees.ssd_multi(
-                self.group, self.lattice, h, n, codomain=codomain, n_cap=max(4, n)
+                self.lattice, h, n, codomain=codomain, n_cap=max(4, n)
             )
         return self._ssd_multi[key]
 
@@ -175,14 +149,14 @@ class _Context:
             )
         return self._d_multi[key]
 
-    def coprime_factors(self) -> tuple[list[tuple[Group, Lattice]] | None, str | None]:
-        """((factor, factor lattice) pairs, None) when the group is a
-        direct product of pairwise coprime factors, else (None, reason).
-        Each factor lattice is enumerated once per context."""
+    def coprime_factors(self) -> tuple[list[Lattice] | None, str | None]:
+        """(factor lattices, None) when the group is a direct product of
+        pairwise coprime factors, else (None, reason).  Each factor
+        lattice is enumerated once per context."""
         if self._factors is None:
             factors, reason = _coprime_factors(self.group)
             if factors is not None:
-                factors = [(f, enumerate_subgroups(f, cap=self.cap)) for f in factors]
+                factors = [enumerate_subgroups(f, cap=self.cap) for f in factors]
             self._factors = (factors, reason)
         return self._factors
 
@@ -226,11 +200,13 @@ def _res(
     )
 
 
-def _not_applicable(ctx: _Context, claim_id: str, note: str) -> ClaimResult:
+def _not_applicable(
+    ctx: _Context, claim_id: str, note: str, *, instance: str = ""
+) -> ClaimResult:
     return ClaimResult(
         claim_id=claim_id,
         group_label=ctx.group.label,
-        instance="",
+        instance=instance,
         applicable=False,
         holds=None,
         lhs=None,
@@ -241,7 +217,7 @@ def _not_applicable(ctx: _Context, claim_id: str, note: str) -> ClaimResult:
 
 @_claim("C1", "iff", "ssd(G) = 1 exactly when G is abelian", "every group")
 def _c1(ctx: _Context):
-    value = ctx.ssd()
+    value = degrees.ssd_group(ctx.lattice)
     abelian = ctx.group.is_abelian
     holds = (value == 1) == abelian
     yield _res(ctx, "C1", "", holds, value, Fraction(1),
@@ -259,8 +235,8 @@ def _c2(ctx: _Context):
         yield _not_applicable(ctx, "C2", "trivial group: both sides equal 1")
         return
     n = ctx.group.order
-    rhs = Fraction(n * n, ctx.size**2) * ctx.d_pair_sum()
-    lhs = ctx.ssd()
+    rhs = Fraction(n * n, len(ctx.lattice) ** 2) * ctx.d_pair_sum()
+    lhs = degrees.ssd_group(ctx.lattice)
     yield _res(ctx, "C2", "", lhs < rhs, lhs, rhs, strict=lhs < rhs)
 
 
@@ -276,10 +252,10 @@ def _c3(ctx: _Context):
     # C_G(x); d(H, K)|H||K| counts the commuting pairs of H x K.  With
     # c = cyclic[x], up[c] holds the members holding x and phi_rows[c]
     # the members inside C_G(x)
-    sd_value = ctx.sd()
-    size = ctx.size
     lat = ctx.lattice
-    rows = ctx.phi_rows()
+    sd_value = degrees.sd_group(lat)
+    size = len(lat)
+    rows = lat.phi_rows
     holding = [lat.up[c].bit_count() for c in lat.cyclic]
     centralizing = [rows[c].bit_count() for c in lat.cyclic]
     for k_idx, k in enumerate(lat.subgroups):
@@ -294,12 +270,13 @@ def _c3(ctx: _Context):
 
 
 def _c4_bound(ctx: _Context, n_idx: int, middle_from_quotient: bool) -> Fraction:
-    l_n = ctx.lattice.down[n_idx].bit_count()
-    ssd_n = ctx.sub_degree(ctx.phi_rows(), n_idx)
+    lat = ctx.lattice
+    l_n = lat.down[n_idx].bit_count()
+    ssd_n = ctx.sub_degree(lat.phi_rows, n_idx)
     l_q, ssd_q = ctx.quotient_stats(n_idx)
     middle = ssd_q if middle_from_quotient else ssd_n
     return (
-        Fraction(1, ctx.size**2)
+        Fraction(1, len(lat) ** 2)
         * (
             Fraction((l_n + l_q - 1) ** 2)
             + (middle - 1) * l_n**2
@@ -316,8 +293,8 @@ def _c4_bound(ctx: _Context, n_idx: int, middle_from_quotient: bool) -> Fraction
     "every normal subgroup",
 )
 def _c4(ctx: _Context):
-    value = ctx.ssd()
-    for n_idx in ctx.normal_indices():
+    value = degrees.ssd_group(ctx.lattice)
+    for n_idx in ctx.lattice.normal:
         rhs = _c4_bound(ctx, n_idx, middle_from_quotient=False)
         variant = _c4_bound(ctx, n_idx, middle_from_quotient=True)
         yield _res(
@@ -338,19 +315,20 @@ def _c4(ctx: _Context):
     "normal subgroups with abelian N and abelian quotient",
 )
 def _c5(ctx: _Context):
-    value = ctx.ssd()
+    lat = ctx.lattice
+    value = degrees.ssd_group(lat)
     produced = False
-    for n_idx in ctx.normal_indices():
-        sub = ctx.lattice[n_idx]
-        if ctx.sub_degree(ctx.phi_rows(), n_idx) != 1:
+    for n_idx in lat.normal:
+        sub = lat[n_idx]
+        if ctx.sub_degree(lat.phi_rows, n_idx) != 1:
             continue
         l_q, ssd_q = ctx.quotient_stats(n_idx)
         if ssd_q != 1:
             continue
         produced = True
-        l_n = ctx.lattice.down[n_idx].bit_count()
-        rhs = Fraction((l_n + l_q - 1) ** 2, ctx.size**2)
-        unsquared = Fraction((l_n + l_q - 1) ** 2, ctx.size)
+        l_n = lat.down[n_idx].bit_count()
+        rhs = Fraction((l_n + l_q - 1) ** 2, len(lat) ** 2)
+        unsquared = Fraction((l_n + l_q - 1) ** 2, len(lat))
         yield _res(
             ctx, "C5", f"N=#{n_idx}", value >= rhs, value, rhs,
             witnesses=() if value >= rhs else (f"N={sub.bitstring()}",),
@@ -371,17 +349,18 @@ def _c5(ctx: _Context):
     "normal subgroups of prime index",
 )
 def _c6(ctx: _Context):
-    value = ctx.ssd()
+    lat = ctx.lattice
+    value = degrees.ssd_group(lat)
     produced = False
-    for n_idx in ctx.normal_indices():
-        sub = ctx.lattice[n_idx]
+    for n_idx in lat.normal:
+        sub = lat[n_idx]
         index = ctx.group.order // sub.size
         if not is_prime(index):
             continue
         produced = True
-        l_n = ctx.lattice.down[n_idx].bit_count()
-        ssd_n = ctx.sub_degree(ctx.phi_rows(), n_idx)
-        rhs = (ssd_n * l_n**2 + 2 * l_n + 1) / ctx.size**2
+        l_n = lat.down[n_idx].bit_count()
+        ssd_n = ctx.sub_degree(lat.phi_rows, n_idx)
+        rhs = (ssd_n * l_n**2 + 2 * l_n + 1) / len(lat) ** 2
         yield _res(
             ctx, "C6", f"N=#{n_idx}", value >= rhs, value, rhs,
             witnesses=() if value >= rhs else (f"N={sub.bitstring()}",),
@@ -402,15 +381,16 @@ def _c7(ctx: _Context):
     if g.is_abelian or not g.is_solvable:
         yield _not_applicable(ctx, "C7", "applies to nonabelian solvable groups")
         return
-    value = ctx.ssd()
+    lat = ctx.lattice
+    value = degrees.ssd_group(lat)
     derived = g.derived_series()[1]
-    d_idx = ctx.lattice.index(derived)
-    l_d = ctx.lattice.down[d_idx].bit_count()
-    ssd_d = ctx.sub_degree(ctx.phi_rows(), d_idx)
-    rhs = (ssd_d * l_d**2 + 2 * l_d + 1) / ctx.size**2
+    d_idx = lat.index(derived)
+    l_d = lat.down[d_idx].bit_count()
+    ssd_d = ctx.sub_degree(lat.phi_rows, d_idx)
+    rhs = (ssd_d * l_d**2 + 2 * l_d + 1) / len(lat) ** 2
     yield _res(ctx, "C7", f"G'=#{d_idx}", value >= rhs, value, rhs)
     if g.is_metabelian:
-        rhs2 = Fraction(l_d**2 + 2 * l_d + 1, ctx.size**2)
+        rhs2 = Fraction(l_d**2 + 2 * l_d + 1, len(lat) ** 2)
         yield _res(ctx, "C7", "metabelian", value >= rhs2, value, rhs2)
 
 
@@ -422,18 +402,18 @@ def _c7(ctx: _Context):
     "every subgroup H, M universally quantified over subgroups of H",
 )
 def _c8(ctx: _Context):
-    ssd_g = ctx.ssd()
-    sd_g = ctx.sd()
-    size = ctx.size
     lat = ctx.lattice
-    rows = ctx.phi_rows()
+    ssd_g = degrees.ssd_group(lat)
+    sd_g = degrees.sd_group(lat)
+    size = len(lat)
+    rows = lat.phi_rows
     for h_idx, h in enumerate(lat.subgroups):
         below = lat.down[h_idx]
         dom = bit_positions(below)
         l_h = len(dom)
         lhs = Fraction(l_h**2, size**2) * ctx.sub_degree(rows, h_idx)
         yield _res(ctx, "C8", f"H=#{h_idx}", lhs <= ssd_g, lhs, ssd_g)
-        sd_h = ctx.sub_degree(ctx.perm_rows(), h_idx)
+        sd_h = ctx.sub_degree(lat.perm_rows, h_idx)
         yield _res(
             ctx, "C8", f"H=#{h_idx}|sd-chain", sd_h <= sd_g, sd_h, sd_g,
             witnesses=() if sd_h <= sd_g else (f"H={h.bitstring()}",),
@@ -471,10 +451,10 @@ def _c9(ctx: _Context):
     if factors is None:
         yield _not_applicable(ctx, "C9", reason)
         return
-    lhs = ctx.ssd()
+    lhs = degrees.ssd_group(ctx.lattice)
     rhs = Fraction(1)
-    for f, flat in factors:
-        rhs *= degrees.ssd_group(f, flat)
+    for flat in factors:
+        rhs *= degrees.ssd_group(flat)
     yield _res(ctx, "C9", f"factors={len(factors)}", lhs == rhs, lhs, rhs)
 
 
@@ -505,8 +485,8 @@ def _c10(ctx: _Context):
 )
 def _c11(ctx: _Context):
     full = ctx.group.full_subgroup()
-    ssd_g = ctx.ssd()
-    sd_g = ctx.sd()
+    ssd_g = degrees.ssd_group(ctx.lattice)
+    sd_g = degrees.sd_group(ctx.lattice)
     diag = {n: ctx.ssd_multi(full, n) for n in range(1, ctx.n_max + 1)}
     for h_idx, h in enumerate(ctx.lattice.subgroups):
         for n in range(1, ctx.n_max + 1):
@@ -535,19 +515,20 @@ def _c12(ctx: _Context):
         return
     depths = range(1, ctx.n_max + 1)
 
-    def factor_degrees(f: Group, flat: Lattice, s: Subgroup) -> list[Fraction]:
-        return [degrees.ssd_multi(f, flat, s, n, n_cap=max(4, n)) for n in depths]
+    def factor_degrees(flat: Lattice, s: Subgroup) -> list[Fraction]:
+        return [degrees.ssd_multi(flat, s, n, n_cap=max(4, n)) for n in depths]
 
     if len(factors) == 2:
-        (g1, lat1), (g2, lat2) = factors
-        values2 = [factor_degrees(g2, lat2, b) for b in lat2]
+        lat1, lat2 = factors
+        order2 = lat2.group.order
+        values2 = [factor_degrees(lat2, b) for b in lat2]
         for i1, a in enumerate(lat1.subgroups):
-            values1 = factor_degrees(g1, lat1, a)
+            values1 = factor_degrees(lat1, a)
             for i2, b in enumerate(lat2.subgroups):
                 mask = 0
                 for x in a.members():
                     for y in b.members():
-                        mask |= 1 << (x * g2.order + y)
+                        mask |= 1 << (x * order2 + y)
                 ab = Subgroup.from_mask(mask, ctx.group.order)
                 for n in depths:
                     lhs = ctx.ssd_multi(ab, n)
@@ -558,7 +539,7 @@ def _c12(ctx: _Context):
     else:
         # with more than two factors, check the full product per depth
         full = ctx.group.full_subgroup()
-        values = [factor_degrees(f, flat, f.full_subgroup()) for f, flat in factors]
+        values = [factor_degrees(flat, flat.group.full_subgroup()) for flat in factors]
         for n in depths:
             lhs = ctx.ssd_multi(full, n)
             rhs = Fraction(1)
@@ -582,15 +563,10 @@ def _c13(ctx: _Context):
         for n in range(1, ctx.n_max + 1):
             cost = sum(ctx.lattice[k].size ** (n + 1) for k in dom)
             if cost > ctx.tuple_budget:
-                yield ClaimResult(
-                    claim_id="C13",
-                    group_label=ctx.group.label,
+                yield _not_applicable(
+                    ctx, "C13",
+                    f"skipped: {cost} tuple evaluations exceed the budget",
                     instance=f"H=#{h_idx},n={n}",
-                    applicable=False,
-                    holds=None,
-                    lhs=None,
-                    rhs=None,
-                    note=f"skipped: {cost} tuple evaluations exceed the budget",
                 )
                 continue
             lhs = ctx.ssd_multi(h, n, codomain=h)
@@ -613,7 +589,7 @@ def _c13(ctx: _Context):
 )
 def _c14(ctx: _Context):
     full = ctx.group.full_subgroup()
-    size = ctx.size
+    size = len(ctx.lattice)
     diag = {n: ctx.ssd_multi(full, n) for n in range(1, ctx.n_max + 1)}
     for h_idx, h in enumerate(ctx.lattice.subgroups):
         l_h = ctx.lattice.down[h_idx].bit_count()
@@ -639,7 +615,8 @@ def _c15(ctx: _Context):
         return
     n = family[1]
     rhs = sigma(n) + tau(n)
-    yield _res(ctx, "C15", f"n={n}", ctx.size == rhs, ctx.size, rhs)
+    size = len(ctx.lattice)
+    yield _res(ctx, "C15", f"n={n}", size == rhs, size, rhs)
 
 
 @_claim(
@@ -650,27 +627,28 @@ def _c15(ctx: _Context):
     "metabelian even-order groups with cyclic G' and dihedral-sized lattice",
 )
 def _c16(ctx: _Context):
-    g = ctx.group
+    g, lat = ctx.group, ctx.lattice
+    size = len(lat)
     if g.order % 2 or not g.is_metabelian:
         yield _not_applicable(ctx, "C16", "needs even order and a metabelian group")
         return
-    if ctx.size != sigma(g.order // 2) + tau(g.order // 2):
+    if size != sigma(g.order // 2) + tau(g.order // 2):
         yield _not_applicable(ctx, "C16", "lattice size is not sigma+tau of |G|/2")
         return
     derived = g.derived_series()[1]
-    if ctx.lattice.index(derived) not in ctx.lattice.cyclic:
+    if lat.index(derived) not in lat.cyclic:
         yield _not_applicable(ctx, "C16", "derived subgroup is not cyclic")
         return
-    mid = sum(r.bit_count() for r in ctx.phi_rows())
-    lower = Fraction((tau(derived.size) + 1) ** 2, ctx.size**2)
-    upper = Fraction(g.order**2, ctx.size**2) * ctx.d_pair_sum()
+    mid = sum(r.bit_count() for r in lat.phi_rows)
+    lower = Fraction((tau(derived.size) + 1) ** 2, size**2)
+    upper = Fraction(g.order**2, size**2) * ctx.d_pair_sum()
     yield _res(ctx, "C16", "lower", lower <= mid, lower, mid)
     yield _res(ctx, "C16", "upper", mid <= upper, mid, upper)
 
 
 @_claim("C17", "equality", "xi is constant on conjugacy classes", "every group")
 def _c17(ctx: _Context):
-    values = [characters.xi(ctx.group, ctx.lattice, a) for a in range(ctx.group.order)]
+    values = [characters.xi(ctx.lattice, a) for a in range(ctx.group.order)]
     witnesses = []
     for cls in ctx.group.conjugacy_classes():
         first = values[cls[0]]
@@ -690,7 +668,7 @@ def _c17(ctx: _Context):
     "every group",
 )
 def _c18(ctx: _Context):
-    violations = characters.equal_generator_invariance(ctx.group, ctx.lattice)
+    violations = characters.equal_generator_invariance(ctx.lattice)
     yield _res(
         ctx, "C18", "", not violations, len(violations), 0,
         witnesses=tuple(f"x={x},y={y}" for x, y in violations),
@@ -726,8 +704,8 @@ def _c20(ctx: _Context):
             "at (p,m)=(2,3) the presentation is the order-8 dihedral group, "
             "whose subgroup lattice is not modular"
         )
-    sd_value = ctx.sd()
-    ssd_value = ctx.ssd()
+    sd_value = degrees.sd_group(ctx.lattice)
+    ssd_value = degrees.ssd_group(ctx.lattice)
     yield _res(ctx, "C20", "sd", sd_value == 1, sd_value, Fraction(1), note=note)
     yield _res(
         ctx, "C20", "ssd", ssd_value < 1, ssd_value, Fraction(1),

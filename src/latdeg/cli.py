@@ -250,10 +250,10 @@ def _degrees_entry(spec: GroupSpec, n_max: int, cap: int | None) -> tuple:
         len(lat),
         characters.class_count(group),
         _rational(degrees.d_group(group)),
-        _rational(degrees.sd_group(group, lat)),
-        _rational(degrees.ssd_group(group, lat)),
+        _rational(degrees.sd_group(lat)),
+        _rational(degrees.ssd_group(lat)),
         [
-            _rational(degrees.ssd_multi(group, lat, full, n, n_cap=max(4, n_max)))
+            _rational(degrees.ssd_multi(lat, full, n, n_cap=max(4, n_max)))
             for n in range(1, n_max + 1)
         ],
     )

@@ -69,40 +69,29 @@ def d_multi(
     return Fraction(good, tuples)
 
 
-def phi(g: Group, x: Subgroup, y: Subgroup) -> int:
-    """1 if [X, Y] = 1 else 0; symmetric in its arguments."""
-    _check_parent(g, x, y)
-    good = kernels.sum_centralizer_orders(g.ktab, x.mask, y.mask)
-    return 1 if good == x.size * y.size else 0
-
-
-def phi_rows(g: Group, lat: Lattice) -> tuple[int, ...]:
-    """Row i is a bitmask over lattice positions j with [L_i, L_j] = 1.
-
-    Built once per lattice from the centralizers; every ssd-style count
-    reads it.
-    """
+# phi_rows and perm_rows only pass the lattice's rows on; they stay as
+# named functions because perfbench/layertrace.py times them by name
+def phi_rows(lat: Lattice) -> tuple[int, ...]:
+    """``lat.phi_rows``: row i holds the members L_j with [L_i, L_j] = 1."""
     return lat.phi_rows
 
 
-def perm_rows(g: Group, lat: Lattice) -> tuple[int, ...]:
-    """Row i is a bitmask over lattice positions j with L_i L_j = L_j L_i."""
+def perm_rows(lat: Lattice) -> tuple[int, ...]:
+    """``lat.perm_rows``: row i holds the members L_j with L_i L_j = L_j L_i."""
     return lat.perm_rows
 
 
-def sd_group(g: Group, lat: Lattice) -> Fraction:
+def sd_group(lat: Lattice) -> Fraction:
     """Probability that an ordered pair of subgroups permutes."""
-    rows = perm_rows(g, lat)
-    size = len(lat)
-    return Fraction(sum(r.bit_count() for r in rows), size * size)
+    rows = perm_rows(lat)
+    return Fraction(sum(r.bit_count() for r in rows), len(lat) ** 2)
 
 
-def ssd_group(g: Group, lat: Lattice) -> Fraction:
+def ssd_group(lat: Lattice) -> Fraction:
     """Probability that an ordered pair of subgroups has trivial
     commutator subgroup."""
-    rows = phi_rows(g, lat)
-    size = len(lat)
-    return Fraction(sum(r.bit_count() for r in rows), size * size)
+    rows = phi_rows(lat)
+    return Fraction(sum(r.bit_count() for r in rows), len(lat) ** 2)
 
 
 @dataclass(frozen=True)
@@ -119,7 +108,7 @@ class BracketTable:
         return len(self.entries)
 
 
-def bracket_table(g: Group, lat: Lattice) -> BracketTable:
+def bracket_table(lat: Lattice) -> BracketTable:
     """All pairwise commutator subgroups as lattice positions.
 
     Each entry is computed as written (the normal closure of the
@@ -131,7 +120,6 @@ def bracket_table(g: Group, lat: Lattice) -> BracketTable:
 
 
 def ssd_multi(
-    g: Group,
     lat: Lattice,
     h: Subgroup,
     n: int,
@@ -154,16 +142,16 @@ def ssd_multi(
         raise ValueError(f"iterated degree needs n >= 1, got {n}")
     if n > n_cap:
         raise BudgetExceeded(f"n = {n} exceeds the configured cap {n_cap}")
-    _check_parent(g, h)
+    _check_parent(lat.group, h)
     dom_mask = lat.down[lat.index(h)]
     dom = bit_positions(dom_mask)
     if codomain is None:
         cod_mask = (1 << len(lat)) - 1
     else:
-        _check_parent(g, codomain)
+        _check_parent(lat.group, codomain)
         cod_mask = lat.down[lat.index(codomain)]
-    table = bracket_table(g, lat).entries
-    rows = phi_rows(g, lat)
+    table = bracket_table(lat).entries
+    rows = phi_rows(lat)
     counts = {i: 1 for i in dom}
     for _ in range(n - 1):
         folded: dict[int, int] = {}

@@ -6,10 +6,12 @@ contain.  The canonical order is ascending size with ties broken by
 the lexicographic order of the membership bit sequence (element 0
 first), so lattice positions and every derived report are stable.
 
-A :class:`Lattice` owns the data derived from its order relation: the
-up-set and down-set of every member, the position of each cyclic
-subgroup <e>, joins, and the permutability, commuting and bracket
-tables, each built on first use.
+A :class:`Lattice` owns the data derived from its group and order
+relation: the up-set and down-set of every member, the position of each
+cyclic subgroup <e>, joins, the normal members, and the permutability,
+commuting and bracket tables, each built on first use.  It is the one
+handle on a group's subgroups: the degree, character and claim code
+takes a lattice and reads its group from ``lat.group``.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ class Lattice:
         self._up: tuple[int, ...] | None = None
         self._down: tuple[int, ...] | None = None
         self._cyclic: tuple[int, ...] | None = None
+        self._normal: tuple[int, ...] | None = None
         self._perm_rows: tuple[int, ...] | None = None
         self._phi_rows: tuple[int, ...] | None = None
         self._brackets: tuple[tuple[int, ...], ...] | None = None
@@ -117,6 +120,18 @@ class Lattice:
         bound."""
         common = self.up[i] & self.up[j]
         return (common & -common).bit_length() - 1
+
+    @property
+    def normal(self) -> tuple[int, ...]:
+        """The positions of the normal members, ascending."""
+        if self._normal is None:
+            ktab = self.group.ktab
+            self._normal = tuple(
+                i
+                for i, s in enumerate(self.subgroups)
+                if kernels.is_normal_mask(ktab, s.mask)
+            )
+        return self._normal
 
     @property
     def perm_rows(self) -> tuple[int, ...]:
@@ -249,26 +264,6 @@ def commutator_subgroup(g: Group, h: Subgroup, k: Subgroup) -> Subgroup:
     )
 
 
-def centralizer_in(g: Group, k: Subgroup, h: Subgroup) -> Subgroup:
-    """C_K(H): elements of K commuting with every element of H."""
-    _check_parent(g, k, h)
-    return Subgroup.from_mask(
-        kernels.centralizer_mask(g.ktab, k.mask, h.mask), g.order
-    )
-
-
-def comm_set(g: Group, lat: Lattice, h: Subgroup) -> list[Subgroup]:
-    """All K in the lattice with [H, K] = 1, in lattice order."""
-    _check_parent(g, h)
-    return [lat[j] for j in bit_positions(lat.phi_rows[lat.index(h)])]
-
-
-def c_set(g: Group, lat: Lattice, h: Subgroup) -> list[Subgroup]:
-    """All K in the lattice permuting with H, in lattice order."""
-    _check_parent(g, h)
-    return [lat[j] for j in bit_positions(lat.perm_rows[lat.index(h)])]
-
-
-def normal_subgroups(g: Group, lat: Lattice) -> list[Subgroup]:
+def normal_subgroups(lat: Lattice) -> list[Subgroup]:
     """Lattice members invariant under conjugation by every element."""
-    return [s for s in lat.subgroups if kernels.is_normal_mask(g.ktab, s.mask)]
+    return [lat[i] for i in lat.normal]

@@ -147,15 +147,15 @@ def test_criterion_1_abelian_law(builtin24):
         if not g.is_abelian:
             continue
         lat = enumerate_subgroups(g)
-        values = [d_group(g), sd_group(g, lat), ssd_group(g, lat)] + [
-            ssd_multi(g, lat, g.full_subgroup(), n) for n in (1, 2, 3)
+        values = [d_group(g), sd_group(lat), ssd_group(lat)] + [
+            ssd_multi(lat, g.full_subgroup(), n) for n in (1, 2, 3)
         ]
         if any(v != 1 for v in values):
             failures.append((g.label, values))
     for g, lat in builtin24:
         if g.is_abelian:
             continue
-        if not ssd_group(g, lat) < 1:
+        if not ssd_group(lat) < 1:
             failures.append((g.label, "ssd not below 1"))
     _report("1 abelian law", failures)
 
@@ -190,14 +190,14 @@ def test_criterion_4_exact_values():
     checks = [
         ("d(S3)", d_group(s3), Fraction(1, 2)),
         ("d(D8)", d_group(d8), Fraction(5, 8)),
-        ("sd(S3)", sd_group(s3, lat_s3), Fraction(5, 6)),
-        ("ssd(S3)", ssd_group(s3, lat_s3), Fraction(5, 12)),
-        ("ssd(Q8)", ssd_group(q8, lat_q8), Fraction(23, 36)),
-        ("sd(Q8)", sd_group(q8, lat_q8), Fraction(1)),
-        ("sd(M(3,3))", sd_group(m27, lat_m), Fraction(1)),
+        ("sd(S3)", sd_group(lat_s3), Fraction(5, 6)),
+        ("ssd(S3)", ssd_group(lat_s3), Fraction(5, 12)),
+        ("ssd(Q8)", ssd_group(lat_q8), Fraction(23, 36)),
+        ("sd(Q8)", sd_group(lat_q8), Fraction(1)),
+        ("sd(M(3,3))", sd_group(lat_m), Fraction(1)),
     ]
     failures = [(name, str(got), str(want)) for name, got, want in checks if got != want]
-    if not ssd_group(m27, lat_m) < 1:
+    if not ssd_group(lat_m) < 1:
         failures.append(("ssd(M(3,3))", "not below 1", "<1"))
     _report("4 exact derived values", failures)
 
@@ -216,10 +216,10 @@ def test_criterion_5_multiplicativity():
     ]
     for g in products:
         lat = enumerate_subgroups(g, cap=210)
-        lhs = ssd_group(g, lat)
+        lhs = ssd_group(lat)
         rhs = Fraction(1)
         for f in g.factors:
-            rhs *= ssd_group(f, enumerate_subgroups(f))
+            rhs *= ssd_group(enumerate_subgroups(f))
         if lhs != rhs:
             failures.append((g.label, str(lhs), str(rhs)))
     # iterated-degree multiplicativity on S3 x C5 with A = <transposition>
@@ -238,8 +238,8 @@ def test_criterion_5_multiplicativity():
     if ab.mask != mask:
         failures.append(("A x B", "product set is not a subgroup"))
     for n in (1, 2):
-        lhs = ssd_multi(prod, lat_p, ab, n)
-        rhs = ssd_multi(s3, lat_s3, a_sub, n) * ssd_multi(c5, lat_c5, b_sub, n)
+        lhs = ssd_multi(lat_p, ab, n)
+        rhs = ssd_multi(lat_s3, a_sub, n) * ssd_multi(lat_c5, b_sub, n)
         if lhs != rhs:
             failures.append((f"ssd_{n}(AxB)", str(lhs), str(rhs)))
     _report("5 multiplicativity", failures)
@@ -370,11 +370,11 @@ def test_criterion_7_depth_monotonicity(builtin16):
     # S(3) refutes.  For H != G no direction is proven, so none is asserted.
     failures = []
     for g, lat in builtin16:
-        values = [ssd_multi(g, lat, g.full_subgroup(), n) for n in (1, 2, 3)]
+        values = [ssd_multi(lat, g.full_subgroup(), n) for n in (1, 2, 3)]
         if not values[0] <= values[1] <= values[2]:
             failures.append((g.label, [str(v) for v in values]))
     s3, lat = _by_label(builtin16, "S(3)")
-    values = tuple(ssd_multi(s3, lat, s3.full_subgroup(), n) for n in (1, 2, 3))
+    values = tuple(ssd_multi(lat, s3.full_subgroup(), n) for n in (1, 2, 3))
     _check(failures, "ssd_n(S3,S3), n=1,2,3", values, SSD_N_S3)
     failures += _s3_oracle_failures(s3.table)
     _report(
@@ -386,9 +386,9 @@ def test_criterion_7_depth_monotonicity(builtin16):
 def test_criterion_7_subgroup_monotonicity_chain(builtin16):
     failures = []
     for g, lat in builtin16:
-        ssd_g = ssd_group(g, lat)
-        sd_g = sd_group(g, lat)
-        diag = [ssd_multi(g, lat, g.full_subgroup(), n) for n in (1, 2, 3)]
+        ssd_g = ssd_group(lat)
+        sd_g = sd_group(lat)
+        diag = [ssd_multi(lat, g.full_subgroup(), n) for n in (1, 2, 3)]
         if not ssd_g <= sd_g:
             failures.append((g.label, "ssd > sd", str(ssd_g), str(sd_g)))
         if diag[0] != ssd_g:
@@ -401,13 +401,13 @@ def test_criterion_7_subgroup_monotonicity_chain(builtin16):
     # the first and the middle link are false on S(3)
     s3, lat = _by_label(builtin16, "S(3)")
     a3 = lat[lat.index_of[_mask(_s3_oracle(s3.table)["A3"])]]
-    first = ssd_multi(s3, lat, a3, 1)
-    diag = tuple(ssd_multi(s3, lat, s3.full_subgroup(), n) for n in (1, 2, 3))
+    first = ssd_multi(lat, a3, 1)
+    diag = tuple(ssd_multi(lat, s3.full_subgroup(), n) for n in (1, 2, 3))
     _check(failures, "ssd_1(A3,S3)", first, SSD_1_A3_IN_S3)
     _check(failures, "ssd_n(S3,S3), n=1,2,3", diag, SSD_N_S3)
     if not first > diag[0]:
         failures.append(("first link not refuted", str(first), str(diag[0])))
-    if not min(diag[1:]) > ssd_group(s3, lat):
+    if not min(diag[1:]) > ssd_group(lat):
         failures.append(("middle link not refuted", *map(str, diag)))
     failures += _s3_oracle_failures(s3.table)
     _report(
@@ -420,7 +420,7 @@ def test_criterion_7_subgroup_monotonicity_chain(builtin16):
 def test_criterion_7_ssd_below_sd(builtin16):
     failures = []
     for g, lat in builtin16:
-        if not ssd_group(g, lat) <= sd_group(g, lat):
+        if not ssd_group(lat) <= sd_group(lat):
             failures.append(g.label)
     _report("7 ssd <= sd", failures)
 
@@ -432,7 +432,7 @@ def test_criterion_7_dp_matches_enumeration(builtin16):
             continue
         for h in lat.subgroups:
             for n in (1, 2, 3):
-                dp = ssd_multi(g, lat, h, n)
+                dp = ssd_multi(lat, h, n)
                 brute = oracles.ssd_multi(g.table, frozenset(h.members()), n)
                 if dp != brute:
                     failures.append((g.label, h.bitstring(), n, str(dp), str(brute)))
@@ -442,11 +442,11 @@ def test_criterion_7_dp_matches_enumeration(builtin16):
 def test_criterion_8_character_shadows(builtin24):
     failures = []
     for g, lat in builtin24:
-        values = [xi(g, lat, a) for a in range(g.order)]
+        values = [xi(lat, a) for a in range(g.order)]
         for cls in g.conjugacy_classes():
             if len({values[a] for a in cls}) != 1:
                 failures.append((g.label, "xi not constant on a class", cls))
-        if equal_generator_invariance(g, lat):
+        if equal_generator_invariance(lat):
             failures.append((g.label, "equal-generator invariance"))
         if class_count(g) != g.order * d_group(g):
             failures.append((g.label, "class count vs |G| d(G)"))

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
 from latdeg import (
+    Group,
     claims,
+    enumerate_subgroups,
     make_cyclic,
     make_dihedral,
     make_modular,
@@ -94,6 +97,40 @@ def test_c16_applies_to_odd_dihedrals():
         assert all(r.applicable and r.holds for r in res)
     res = claims.run_claim("C16", make_cyclic(12))
     assert not res[0].applicable
+
+
+def _alternating_4() -> Group:
+    """A4 as the even permutations of {0, 1, 2, 3}, composed right to
+    left; the identity comes first."""
+    even = [
+        p
+        for p in permutations(range(4))
+        if sum(p[i] > p[j] for i, j in combinations(range(4), 2)) % 2 == 0
+    ]
+    index = {p: i for i, p in enumerate(even)}
+    table = [[index[tuple(a[b[x]] for x in range(4))] for b in even] for a in even]
+    return Group(table, "A(4)")
+
+
+def test_c16_reports_a_derived_subgroup_that_is_not_cyclic(monkeypatch):
+    a4 = _alternating_4()
+    derived = a4.derived_series()[1]
+    assert a4.is_metabelian and derived.size == 4
+    assert all(a4.order_of(x) <= 2 for x in derived.members())  # V4
+    assert len(enumerate_subgroups(a4)) == 10
+    res = claims.run_claim("C16", a4)
+    assert [r.note for r in res] == ["lattice size is not sigma+tau of |G|/2"]
+    # No group we tried is metabelian, of even order, has a non-cyclic G'
+    # and |L| = sigma(|G|/2) + tau(|G|/2).  |L| against that target:
+    # A4 10/16, A4 x C(2) 26/34, A4 x C(3) 30/45, A4 x C(4) 42/68,
+    # A4 x C(2) x C(2) 92/68, Dih(C3^2) 28/16, Dih(C3^2) x C(2) 78/45,
+    # C3^2:C4 38/45.  So sigma is patched to put A4's 10 members on
+    # target, and the cyclic test is the one that decides.
+    monkeypatch.setattr(claims, "sigma", lambda n: 10 - claims.tau(n))
+    res = claims.run_claim("C16", a4)
+    assert [(r.instance, r.applicable, r.holds, r.note) for r in res] == [
+        ("", False, None, "derived subgroup is not cyclic")
+    ]
 
 
 def test_c20_odd_modular():

@@ -174,6 +174,16 @@ def test_verify_report_is_byte_identical_to_the_golden_report(fmt, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def test_verify_48_report_is_byte_identical_to_the_golden_report():
+    # every built-in instance up to order 48, as the benchmark's verify-48
+    # workload runs it; the digest is the one that workload checks against
+    code, out = run_cli(["verify", "--all-up-to", "48"])
+    assert code == 1
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "544823e7c16fec9ec7ce564775d4229f07d29d9c5a449cdfab304613072e3cc8"
+    )
+
+
 def test_verify_product_report_is_byte_identical_to_the_golden_report():
     # direct products, where C9 and C12 apply on the coprime ones and the
     # centralizer sums of C2, C3, C8 and C16 run over the most members

@@ -17,7 +17,6 @@ from latdeg import (
     make_modular,
     make_quaternion,
     make_symmetric,
-    phi,
     sd_group,
     ssd_group,
     ssd_multi,
@@ -81,53 +80,58 @@ def test_d_multi_budget():
 
 
 def test_sd_values():
-    assert sd_group(make_cyclic(8), enumerate_subgroups(make_cyclic(8))) == 1
+    assert sd_group(enumerate_subgroups(make_cyclic(8))) == 1
     s3 = make_symmetric(3)
-    assert sd_group(s3, enumerate_subgroups(s3)) == Fraction(5, 6)
+    assert sd_group(enumerate_subgroups(s3)) == Fraction(5, 6)
     m27 = make_modular(3, 3)
-    assert sd_group(m27, enumerate_subgroups(m27)) == 1
+    assert sd_group(enumerate_subgroups(m27)) == 1
     q8 = make_quaternion()
-    assert sd_group(q8, enumerate_subgroups(q8)) == 1
+    assert sd_group(enumerate_subgroups(q8)) == 1
 
 
 def test_ssd_values():
-    assert ssd_group(make_cyclic(8), enumerate_subgroups(make_cyclic(8))) == 1
+    assert ssd_group(enumerate_subgroups(make_cyclic(8))) == 1
     s3 = make_symmetric(3)
-    assert ssd_group(s3, enumerate_subgroups(s3)) == Fraction(5, 12)
+    assert ssd_group(enumerate_subgroups(s3)) == Fraction(5, 12)
     q8 = make_quaternion()
-    assert ssd_group(q8, enumerate_subgroups(q8)) == Fraction(23, 36)
+    assert ssd_group(enumerate_subgroups(q8)) == Fraction(23, 36)
     m27 = make_modular(3, 3)
-    assert ssd_group(m27, enumerate_subgroups(m27)) < 1
+    assert ssd_group(enumerate_subgroups(m27)) < 1
 
 
 def test_sd_ssd_match_oracle():
     for g in (make_symmetric(3), make_quaternion(), make_dihedral(4), make_cyclic(12)):
         lat = enumerate_subgroups(g)
-        assert sd_group(g, lat) == oracles.sd(g.table)
-        assert ssd_group(g, lat) == oracles.ssd(g.table)
+        assert sd_group(lat) == oracles.sd(g.table)
+        assert ssd_group(lat) == oracles.ssd(g.table)
 
 
 def test_ssd_at_most_sd(builtin24):
     for g, lat in builtin24:
-        assert ssd_group(g, lat) <= sd_group(g, lat)
+        assert ssd_group(lat) <= sd_group(lat)
 
 
 def test_phi():
+    # phi(X, Y) = 1 iff [X, Y] = 1: bit j of lat.phi_rows[i] for X = L_i,
+    # Y = L_j
     s3 = make_symmetric(3)
     lat = enumerate_subgroups(s3)
-    t1, t2 = [s for s in lat.subgroups if s.size == 2][:2]
-    assert phi(s3, s3.trivial_subgroup(), t1) == 1
-    assert phi(s3, t1, t2) == 0
+    t1, t2 = [i for i, s in enumerate(lat) if s.size == 2][:2]
+    assert lat.phi_rows[0] >> t1 & 1
+    assert not lat.phi_rows[t1] >> t2 & 1
     d8 = make_dihedral(4)
     latd = enumerate_subgroups(d8)
-    for x in latd.subgroups:
-        for y in latd.subgroups:
-            assert phi(d8, x, y) == phi(d8, y, x)
+    rows = latd.phi_rows
+    for i, x in enumerate(latd):
+        for j, y in enumerate(latd):
+            assert rows[i] >> j & 1 == rows[j] >> i & 1
+            bracket = oracles.commutator_subgroup(d8.table, x.members(), y.members())
+            assert rows[i] >> j & 1 == (bracket == {0})
 
 
 def test_bracket_table_properties(builtin16):
     for g, lat in builtin16:
-        table = bracket_table(g, lat)
+        table = bracket_table(lat)
         assert table.size == len(lat)
         for j in range(len(lat)):
             assert table.entry(0, j) == 0
@@ -146,7 +150,7 @@ def test_bracket_entries_match_commutator_subgroup(builtin16):
     for g, lat in builtin16:
         if g.order > 12:
             continue
-        table = bracket_table(g, lat)
+        table = bracket_table(lat)
         for i, h in enumerate(lat.subgroups):
             for j, k in enumerate(lat.subgroups):
                 assert lat[table.entry(i, j)] == commutator_subgroup(g, h, k)
@@ -158,7 +162,7 @@ def test_s4_bracket_table_matches_oracle():
     # closure in <H, K>
     s4 = make_symmetric(4)
     lat = enumerate_subgroups(s4)
-    table = bracket_table(s4, lat)
+    table = bracket_table(lat)
     sets = [set(s.members()) for s in lat]
     for i, h in enumerate(sets):
         for j, k in enumerate(sets):
@@ -169,19 +173,19 @@ def test_s4_bracket_table_matches_oracle():
 def test_ssd_multi_base_cases():
     s3 = make_symmetric(3)
     lat = enumerate_subgroups(s3)
-    assert ssd_multi(s3, lat, s3.full_subgroup(), 1) == ssd_group(s3, lat)
+    assert ssd_multi(lat, s3.full_subgroup(), 1) == ssd_group(lat)
     c8 = make_cyclic(8)
     lat8 = enumerate_subgroups(c8)
     for sub in lat8.subgroups:
         for n in (1, 2, 3):
-            assert ssd_multi(c8, lat8, sub, n) == 1
+            assert ssd_multi(lat8, sub, n) == 1
 
 
 def test_ssd_multi_s3_depth_2():
     # frozen from the exhaustive enumeration over all lattice triples
     s3 = make_symmetric(3)
     lat = enumerate_subgroups(s3)
-    value = ssd_multi(s3, lat, s3.full_subgroup(), 2)
+    value = ssd_multi(lat, s3.full_subgroup(), 2)
     assert value == Fraction(11, 18)
     assert value == oracles.ssd_multi(s3.table, frozenset(range(6)), 2)
 
@@ -193,7 +197,7 @@ def test_ssd_multi_dp_matches_enumeration(builtin16):
         for h in lat.subgroups:
             h_set = frozenset(h.members())
             for n in (1, 2, 3):
-                assert ssd_multi(g, lat, h, n) == oracles.ssd_multi(
+                assert ssd_multi(lat, h, n) == oracles.ssd_multi(
                     g.table, h_set, n
                 ), (g.label, h.members(), n)
 
@@ -202,7 +206,7 @@ def test_ssd_multi_codomain():
     s3 = make_symmetric(3)
     lat = enumerate_subgroups(s3)
     a3 = s3.derived_series()[1]
-    value = ssd_multi(s3, lat, a3, 2, codomain=a3)
+    value = ssd_multi(lat, a3, 2, codomain=a3)
     assert value == oracles.ssd_multi(
         s3.table, frozenset(a3.members()), 2, codomain=frozenset(a3.members())
     )
@@ -212,7 +216,7 @@ def test_ssd_multi_n_cap():
     s3 = make_symmetric(3)
     lat = enumerate_subgroups(s3)
     with pytest.raises(BudgetExceeded):
-        ssd_multi(s3, lat, s3.full_subgroup(), 5)
+        ssd_multi(lat, s3.full_subgroup(), 5)
 
 
 def test_ssd_multi_rejects_non_member():
@@ -223,7 +227,7 @@ def test_ssd_multi_rejects_non_member():
     rot = next(a for a in range(6) if s3.order_of(a) == 3)
     not_closed = Subgroup.from_mask(1 | 1 << rot, 6)
     with pytest.raises(ValueError):
-        ssd_multi(s3, lat, not_closed, 1)
+        ssd_multi(lat, not_closed, 1)
 
 
 def test_degrees_are_reduced_probabilities(builtin24):
@@ -232,9 +236,9 @@ def test_degrees_are_reduced_probabilities(builtin24):
     for g, lat in builtin24:
         for value in (
             d_group(g),
-            sd_group(g, lat),
-            ssd_group(g, lat),
-            ssd_multi(g, lat, g.full_subgroup(), 2),
+            sd_group(lat),
+            ssd_group(lat),
+            ssd_multi(lat, g.full_subgroup(), 2),
         ):
             assert 0 < value <= 1
             assert gcd(value.numerator, value.denominator) == 1

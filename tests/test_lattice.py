@@ -1,15 +1,22 @@
 from __future__ import annotations
 
+import inspect
+import re
+
 import pytest
 
+import latdeg
 import oracles
+from latdeg import _kernels as kernels
 from latdeg import (
     Subgroup,
-    c_set,
-    centralizer_in,
-    comm_set,
+    characters,
+    claims,
+    cli,
     commutator_subgroup,
+    degrees,
     enumerate_subgroups,
+    lattice,
     make_cyclic,
     make_dihedral,
     make_modular,
@@ -17,12 +24,91 @@ from latdeg import (
     make_symmetric,
     normal_subgroups,
     permutes,
+    ssd_cyclic,
+    ssd_multi,
+    xi,
 )
 from latdeg.arith import sigma, tau
+from latdeg.groups import bit_positions
+
+PUBLIC_API = [
+    "BACKEND",
+    "BracketTable",
+    "BudgetExceeded",
+    "Claim",
+    "ClaimResult",
+    "Group",
+    "Lattice",
+    "OrderCapExceeded",
+    "Subgroup",
+    "SuiteReport",
+    "bracket_table",
+    "builtin_groups_up_to",
+    "class_count",
+    "commutator_subgroup",
+    "d_group",
+    "d_multi",
+    "d_pair",
+    "direct_product",
+    "enumerate_subgroups",
+    "equal_generator_invariance",
+    "make_cyclic",
+    "make_dihedral",
+    "make_modular",
+    "make_quaternion",
+    "make_symmetric",
+    "normal_subgroups",
+    "order_cap",
+    "permutes",
+    "quotient",
+    "run_claim",
+    "run_suite",
+    "sd_group",
+    "ssd_cyclic",
+    "ssd_group",
+    "ssd_multi",
+    "xi",
+]
 
 
 def _sub(g, members):
     return g.closure(members)
+
+
+def _centralizer(g, k, h):
+    """C_K(H), the elements of K commuting with every element of H."""
+    return Subgroup.from_mask(
+        kernels.centralizer_mask(g.ktab, k.mask, h.mask), g.order
+    )
+
+
+def _sizes(lat, row):
+    return [lat[j].size for j in bit_positions(row)]
+
+
+def test_public_api_names():
+    # a name leaves the public surface only by changing this list
+    assert sorted(latdeg.__all__) == PUBLIC_API
+    for name in PUBLIC_API:
+        assert hasattr(latdeg, name)
+
+
+def test_no_function_takes_both_a_group_and_a_lattice():
+    # a lattice names its group (lat.group), so a function given both
+    # could be handed a lattice of another group
+    both = []
+    for module in (lattice, degrees, characters, claims, cli):
+        for name, fn in vars(module).items():
+            if not inspect.isfunction(fn) or fn.__module__ != module.__name__:
+                continue
+            kinds = {
+                word
+                for p in inspect.signature(fn).parameters.values()
+                for word in re.findall(r"\b(Group|Lattice)\b", str(p.annotation))
+            }
+            if kinds == {"Group", "Lattice"}:
+                both.append(f"{module.__name__}.{name}")
+    assert both == []
 
 
 def test_cyclic_lattice():
@@ -170,11 +256,15 @@ def test_centralizer_examples():
     s3 = make_symmetric(3)
     lat = enumerate_subgroups(s3)
     a3 = next(s for s in lat.subgroups if s.size == 3)
-    assert centralizer_in(s3, s3.full_subgroup(), s3.trivial_subgroup()) == s3.full_subgroup()
-    assert centralizer_in(s3, s3.full_subgroup(), a3) == a3
+    full = s3.full_subgroup()
+    assert _centralizer(s3, full, s3.trivial_subgroup()) == full
+    assert _centralizer(s3, full, a3) == a3
     q8 = make_quaternion()
     i_sub = _sub(q8, [1])
-    assert centralizer_in(q8, q8.full_subgroup(), i_sub) == i_sub
+    assert _centralizer(q8, q8.full_subgroup(), i_sub) == i_sub
+    for g, k, h in ((s3, full, a3), (q8, q8.full_subgroup(), i_sub)):
+        expected = oracles.centralizer(g.table, k.members(), h.members())
+        assert set(_centralizer(g, k, h).members()) == expected
 
 
 def test_centralizer_is_intersection_of_element_centralizers(builtin16):
@@ -183,10 +273,13 @@ def test_centralizer_is_intersection_of_element_centralizers(builtin16):
             continue
         for k in lat.subgroups:
             for h in lat.subgroups:
-                whole = centralizer_in(g, k, h)
+                whole = _centralizer(g, k, h)
+                assert set(whole.members()) == oracles.centralizer(
+                    g.table, k.members(), h.members()
+                )
                 inter = k.mask
                 for a in h.members():
-                    inter &= centralizer_in(g, k, g.closure([a])).mask
+                    inter &= _centralizer(g, k, g.closure([a])).mask
                 assert whole.mask == inter
 
 
@@ -197,46 +290,81 @@ def test_union_of_centralizers_is_full_centralizer(builtin16):
         for h in lat.subgroups:
             union = 0
             for k in lat.subgroups:
-                union |= centralizer_in(g, k, h).mask
-            assert union == centralizer_in(g, g.full_subgroup(), h).mask
+                union |= _centralizer(g, k, h).mask
+            assert union == _centralizer(g, g.full_subgroup(), h).mask
 
 
 def test_comm_set_examples():
+    # Comm(H), the members K with [H, K] = 1, is the row lat.phi_rows[H]
     s3 = make_symmetric(3)
     lat = enumerate_subgroups(s3)
-    assert len(comm_set(s3, lat, s3.trivial_subgroup())) == len(lat)
-    assert [s.size for s in comm_set(s3, lat, s3.full_subgroup())] == [1]
+    assert lat.phi_rows[0] == (1 << len(lat)) - 1
+    assert _sizes(lat, lat.phi_rows[len(lat) - 1]) == [1]
     q8 = make_quaternion()
     latq = enumerate_subgroups(q8)
     i_sub = _sub(q8, [1])
-    assert [s.size for s in comm_set(q8, latq, i_sub)] == [1, 2, 4]
+    assert _sizes(latq, latq.phi_rows[latq.index(i_sub)]) == [1, 2, 4]
+    for g, sub in ((s3, lat), (q8, latq)):
+        for i, h in enumerate(sub):
+            commuting = {
+                j
+                for j, k in enumerate(sub)
+                if oracles.commutator_subgroup(g.table, h.members(), k.members())
+                == {0}
+            }
+            assert set(bit_positions(sub.phi_rows[i])) == commuting
 
 
 def test_c_set_examples():
+    # C(H), the members K with HK = KH, is the row lat.perm_rows[H]
     s3 = make_symmetric(3)
     lat = enumerate_subgroups(s3)
-    assert len(c_set(s3, lat, s3.full_subgroup())) == len(lat)
-    t1 = next(s for s in lat.subgroups if s.size == 2)
-    assert sorted(s.size for s in c_set(s3, lat, t1)) == [1, 2, 3, 6]
-    a3 = next(s for s in lat.subgroups if s.size == 3)
-    assert len(c_set(s3, lat, a3)) == len(lat)  # normal subgroups permute with all
+    everyone = (1 << len(lat)) - 1
+    assert lat.perm_rows[len(lat) - 1] == everyone
+    t1 = next(i for i, s in enumerate(lat) if s.size == 2)
+    assert _sizes(lat, lat.perm_rows[t1]) == [1, 2, 3, 6]
+    a3 = next(i for i, s in enumerate(lat) if s.size == 3)
+    assert lat.perm_rows[a3] == everyone  # normal subgroups permute with all
+    for i, h in enumerate(lat):
+        permuting = {
+            j
+            for j, k in enumerate(lat)
+            if oracles.product_set(s3.table, h.members(), k.members())
+            == oracles.product_set(s3.table, k.members(), h.members())
+        }
+        assert set(bit_positions(lat.perm_rows[i])) == permuting
 
 
 def test_comm_set_subset_of_c_set(builtin16):
+    # members with a trivial bracket permute: each phi row lies in its
+    # perm row
     for g, lat in builtin16:
-        for h in lat.subgroups:
-            commuting = {s.mask for s in comm_set(g, lat, h)}
-            permuting = {s.mask for s in c_set(g, lat, h)}
-            assert commuting <= permuting
+        for commuting, permuting in zip(lat.phi_rows, lat.perm_rows):
+            assert commuting & ~permuting == 0
 
 
-def test_normal_subgroups():
+def test_normal_subgroups(builtin16):
     s3 = make_symmetric(3)
     lat = enumerate_subgroups(s3)
-    assert [s.size for s in normal_subgroups(s3, lat)] == [1, 3, 6]
+    assert [s.size for s in normal_subgroups(lat)] == [1, 3, 6]
+    assert lat.normal == (0, 4, 5)
     c8 = make_cyclic(8)
     lat8 = enumerate_subgroups(c8)
-    assert len(normal_subgroups(c8, lat8)) == len(lat8)
+    assert len(normal_subgroups(lat8)) == len(lat8)
+    # H is normal iff every conjugate a h a^-1 of its elements lies in H
+    for g, lat in builtin16:
+        table = g.table
+        normal = tuple(
+            i
+            for i, s in enumerate(lat)
+            if all(
+                s.mask >> table[table[a][h]][oracles.inverse(table, a)] & 1
+                for a in range(g.order)
+                for h in s.members()
+            )
+        )
+        assert lat.normal == normal
+        assert normal_subgroups(lat) == [lat[i] for i in normal]
 
 
 def test_membership_errors():
@@ -244,6 +372,16 @@ def test_membership_errors():
     d4 = make_dihedral(4)
     lat = enumerate_subgroups(s3)
     with pytest.raises(ValueError):
-        comm_set(s3, lat, d4.trivial_subgroup())
+        ssd_multi(lat, d4.trivial_subgroup(), 1)
+    with pytest.raises(ValueError):
+        ssd_multi(lat, s3.full_subgroup(), 1, codomain=d4.full_subgroup())
     with pytest.raises(ValueError):
         permutes(s3, s3.trivial_subgroup(), d4.full_subgroup())
+    # element indices are checked against the lattice's own group
+    for element in (-1, s3.order, 7):
+        with pytest.raises(ValueError):
+            xi(lat, element)
+        with pytest.raises(ValueError):
+            ssd_cyclic(lat, element)
+    with pytest.raises(ValueError):
+        xi(enumerate_subgroups(make_cyclic(4)), 6)

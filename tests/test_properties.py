@@ -136,7 +136,7 @@ def test_lattice_and_order_relation_match_oracle(labels):
 @given(labels=group_labels(max_order=32))
 def test_perm_rows_match_oracle_product_sets(labels):
     group, lat = group_and_lattice(labels)
-    rows = degrees.perm_rows(group, lat)
+    rows = degrees.perm_rows(lat)
     sets = [_set(s.mask) for s in lat]
     for i, h in enumerate(sets):
         for j, k in enumerate(sets):
@@ -150,7 +150,7 @@ def test_perm_rows_match_oracle_product_sets(labels):
 @given(labels=group_labels())
 def test_phi_rows_match_oracle(labels):
     group, lat = group_and_lattice(labels)
-    rows = degrees.phi_rows(group, lat)
+    rows = degrees.phi_rows(lat)
     sets = [_set(s.mask) for s in lat]
     for i, h in enumerate(sets):
         commuting = _mask(
@@ -163,7 +163,7 @@ def test_phi_rows_match_oracle(labels):
 @given(labels=group_labels(max_order=32))
 def test_bracket_table_matches_oracle_and_is_symmetric(labels):
     group, lat = group_and_lattice(labels)
-    table = degrees.bracket_table(group, lat)
+    table = degrees.bracket_table(lat)
     sets = [_set(s.mask) for s in lat]
     for i, h in enumerate(sets):
         for j, k in enumerate(sets):
@@ -244,7 +244,7 @@ def test_d_multi_matches_oracle_on_group_and_member(labels, data):
 def test_quotient_stats_match_oracle_on_built_quotients(labels):
     group, lat = group_and_lattice(labels)
     ctx = claims._Context(group, claims.DEFAULT_N_MAX, degrees.DEFAULT_TUPLE_BUDGET, None)
-    for sub in normal_subgroups(group, lat):
+    for sub in normal_subgroups(lat):
         q = quotient(group, sub)
         expected = (len(oracles.subgroups(q.table)), oracles.ssd(q.table))
         assert ctx.quotient_stats(lat.index(sub)) == expected
@@ -310,11 +310,11 @@ def test_ssd_multi_matches_oracle_with_and_without_codomain(labels, data):
     for n in (1, 2, 3):
         # the oracle forms |L(H)|^n (n - 1 + |L(K)|) commutator subgroups
         if below_h**n * (n - 1 + len(lat)) <= ORACLE_BRACKETS:
-            assert degrees.ssd_multi(group, lat, h, n) == oracles.ssd_multi(
+            assert degrees.ssd_multi(lat, h, n) == oracles.ssd_multi(
                 group.table, _set(h.mask), n
             )
         if below_h**n * (n - 1 + below_k) <= ORACLE_BRACKETS:
-            assert degrees.ssd_multi(group, lat, h, n, codomain=k) == oracles.ssd_multi(
+            assert degrees.ssd_multi(lat, h, n, codomain=k) == oracles.ssd_multi(
                 group.table, _set(h.mask), n, _set(k.mask)
             )
 
@@ -325,7 +325,7 @@ def test_xi_matches_oracle(labels, data):
     group, lat = group_and_lattice(labels)
     for _ in range(3):
         element = data.draw(st.integers(0, group.order - 1))
-        assert characters.xi(group, lat, element) == oracles.xi(group.table, element)
+        assert characters.xi(lat, element) == oracles.xi(group.table, element)
 
 
 # report strings with what JSON must escape: quotes, backslashes, control
