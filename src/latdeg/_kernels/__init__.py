@@ -13,6 +13,7 @@ from latdeg._kernels.pure import (
     closure_mask,
     commutator_closure_mask,
     conjugacy_class_ids,
+    conjugate_mask,
     count_commuting_pairs,
     count_trivial_iterated_commutators,
     is_associative,

@@ -206,6 +206,16 @@ def commutator_closure_mask(tab: Table, hmask: int, kmask: int) -> int:
     return group
 
 
+def conjugate_mask(tab: Table, mask: int, g: int) -> int:
+    """The image of the element set ``mask`` under x -> g^-1 x g."""
+    rows = tab.rows
+    rg = rows[tab.inv[g]]
+    out = 0
+    for x in bit_positions(mask):
+        out |= 1 << rows[rg[x]][g]
+    return out
+
+
 def centralizer_mask(tab: Table, kmask: int, hmask: int) -> int:
     """Elements of K commuting with every element of H."""
     return kmask & tab.group_centralizer(hmask)

@@ -73,7 +73,13 @@ class SuiteReport:
 
 
 class _Context:
-    """Per-group caches shared by all claim runners."""
+    """Per-group caches shared by all claim runners.
+
+    Conjugation by an element of G is an automorphism of the lattice that
+    fixes G, so a degree of a member that reads only the lattice below
+    it, or below G, is the same for every conjugate.  Those caches key by
+    the member's conjugacy class, ``lattice.class_of``.
+    """
 
     def __init__(self, group: Group, n_max: int, tuple_budget: int, cap: int | None):
         self.group = group
@@ -82,17 +88,22 @@ class _Context:
         self.cap = cap
         self.lattice = enumerate_subgroups(group, cap=cap)
         self._quotients: dict[int, tuple[int, Fraction]] = {}
-        self._ssd_multi: dict[tuple[int, int, int | None], Fraction] = {}
+        self._ssd_multi: dict[tuple[int, int, int | str], Fraction] = {}
         self._d_multi: dict[tuple[int, int], Fraction] = {}
+        self._sub_degrees: dict[tuple[int, int], Fraction] = {}
         self._factors: tuple[list | None, str | None] | None = None
 
     def sub_degree(self, rows: tuple[int, ...], i: int) -> Fraction:
         """The pair density of ``rows`` on the sublattice below L_i:
         ssd(L_i) from ``lattice.phi_rows``, sd(L_i) from
-        ``lattice.perm_rows``."""
-        below = self.lattice.down[i]
-        count = sum((rows[j] & below).bit_count() for j in bit_positions(below))
-        return Fraction(count, below.bit_count() ** 2)
+        ``lattice.perm_rows``.  Keyed by the identity of ``rows``, which
+        must be one of those two: they live as long as the lattice."""
+        key = (id(rows), self.lattice.class_of[i])
+        if key not in self._sub_degrees:
+            below = self.lattice.down[i]
+            count = sum((rows[j] & below).bit_count() for j in bit_positions(below))
+            self._sub_degrees[key] = Fraction(count, below.bit_count() ** 2)
+        return self._sub_degrees[key]
 
     def commuting_sum(self, weight: list[int]) -> int:
         """Sum of weight[h] weight[k] over the commuting element pairs
@@ -134,7 +145,13 @@ class _Context:
         return self._quotients[n_idx]
 
     def ssd_multi(self, h: Subgroup, n: int, codomain: Subgroup | None = None) -> Fraction:
-        key = (h.mask, n, codomain.mask if codomain is not None else None)
+        """ssd_n(H, codomain), keyed by the class of H when the codomain
+        is G or H itself, and by both masks for any other codomain."""
+        if codomain is None or codomain.mask == h.mask:
+            cls = self.lattice.class_of[self.lattice.index(h)]
+            key = (cls, n, "G" if codomain is None else "H")
+        else:
+            key = (h.mask, n, codomain.mask)
         if key not in self._ssd_multi:
             self._ssd_multi[key] = degrees.ssd_multi(
                 self.lattice, h, n, codomain=codomain, n_cap=max(4, n)
@@ -142,7 +159,8 @@ class _Context:
         return self._ssd_multi[key]
 
     def d_multi_diag(self, k_idx: int, n: int) -> Fraction:
-        key = (k_idx, n)
+        """d_n(K, K) for K = L_k, keyed by the class of K."""
+        key = (self.lattice.class_of[k_idx], n)
         if key not in self._d_multi:
             self._d_multi[key] = degrees.d_multi(
                 self.group, n, within=self.lattice[k_idx], budget=self.tuple_budget
@@ -555,13 +573,15 @@ def _c12(ctx: _Context):
     "nontrivial subgroups H (a one-member lattice forces equality)",
 )
 def _c13(ctx: _Context):
-    for h_idx, h in enumerate(ctx.lattice.subgroups):
+    lat = ctx.lattice
+    for h_idx, h in enumerate(lat.subgroups):
         if h.size == 1:
             continue
-        dom = bit_positions(ctx.lattice.down[h_idx])
+        dom = bit_positions(lat.down[h_idx])
         l_h = len(dom)
         for n in range(1, ctx.n_max + 1):
-            cost = sum(ctx.lattice[k].size ** (n + 1) for k in dom)
+            e = n + 1
+            cost = sum(lat[k].size ** e for k in dom)
             if cost > ctx.tuple_budget:
                 yield _not_applicable(
                     ctx, "C13",
@@ -570,10 +590,15 @@ def _c13(ctx: _Context):
                 )
                 continue
             lhs = ctx.ssd_multi(h, n, codomain=h)
-            total = sum(
-                (ctx.d_multi_diag(k, n) for k in dom), start=Fraction(0)
-            )
-            rhs = Fraction(h.size ** (n + 1), l_h ** (n + 1)) * total
+            # d_n(K, K) = good_K / |K|^e with good_K an integer, so
+            # |H|^e times the sum of d_n(K, K) is the sum of good_K
+            # (|H|/|K|)^e, |K| dividing |H|
+            total = 0
+            for k in dom:
+                d, size = ctx.d_multi_diag(k, n), lat[k].size
+                good = d.numerator * (size**e // d.denominator)
+                total += good * (h.size // size) ** e
+            rhs = Fraction(total, l_h**e)
             yield _res(
                 ctx, "C13", f"H=#{h_idx},n={n}", lhs < rhs, lhs, rhs,
                 strict=lhs < rhs,
@@ -648,7 +673,16 @@ def _c16(ctx: _Context):
 
 @_claim("C17", "equality", "xi is constant on conjugacy classes", "every group")
 def _c17(ctx: _Context):
-    values = [characters.xi(ctx.lattice, a) for a in range(ctx.group.order)]
+    # xi(a) depends on a only through <a>, which C18 checks, so it is
+    # computed once per cyclic member; keyed by conjugacy class it would
+    # assume what this claim checks
+    lat = ctx.lattice
+    by_cyclic: dict[int, int] = {}
+    values = []
+    for a, c in enumerate(lat.cyclic):
+        if c not in by_cyclic:
+            by_cyclic[c] = characters.xi(lat, a)
+        values.append(by_cyclic[c])
     witnesses = []
     for cls in ctx.group.conjugacy_classes():
         first = values[cls[0]]

@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import codecs
 import errno
+import functools
 import os
 import re
 import sys
@@ -59,6 +60,7 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 REPORT_SLICE = 1 << 16  # characters of a report encoded and written at a time
+REPORT_MEMO = 128  # flattened rationals kept for reuse, the most recently used
 
 
 class GroupSpecError(ValueError):
@@ -192,8 +194,19 @@ _NO_RATIONAL: Rational = ("", "", "")
 
 
 def _rational(value: Fraction | int) -> Rational:
-    """``value`` flattened once to its report strings: num, den, approx."""
-    return str(value.numerator), str(value.denominator), _approx12(value)
+    """``value`` flattened to its report strings: num, den, approx.
+
+    A report repeats few values many times (verify-48: 34,400 sides,
+    1,388 distinct), mostly close together, so the strings come from a
+    memo of the REPORT_MEMO most recently used values.  It is keyed by
+    the integer pair, which hashes far faster than a Fraction.
+    """
+    return _flattened(value.numerator, value.denominator)
+
+
+@functools.lru_cache(maxsize=REPORT_MEMO)
+def _flattened(num: int, den: int) -> Rational:
+    return str(num), str(den), _approx12(Fraction(num, den))
 
 
 def _rational_json(r: Rational | None, pad: str) -> str:

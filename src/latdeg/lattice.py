@@ -8,13 +8,17 @@ first), so lattice positions and every derived report are stable.
 
 A :class:`Lattice` owns the data derived from its group and order
 relation: the up-set and down-set of every member, the position of each
-cyclic subgroup <e>, joins, the normal members, and the permutability,
-commuting and bracket tables, each built on first use.  It is the one
-handle on a group's subgroups: the degree, character and claim code
-takes a lattice and reads its group from ``lat.group``.
+cyclic subgroup <e>, joins, the conjugacy class of every member (as the
+position of the lowest member in it), the normal members (those alone
+in their class), and the permutability, commuting and bracket tables,
+each built on first use.  It is the one handle on a group's subgroups:
+the degree, character and claim code takes a lattice and reads its
+group from ``lat.group``.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from latdeg import _kernels as kernels
 from latdeg.groups import (
@@ -50,6 +54,7 @@ class Lattice:
         self._up: tuple[int, ...] | None = None
         self._down: tuple[int, ...] | None = None
         self._cyclic: tuple[int, ...] | None = None
+        self._class_of: tuple[int, ...] | None = None
         self._normal: tuple[int, ...] | None = None
         self._perm_rows: tuple[int, ...] | None = None
         self._phi_rows: tuple[int, ...] | None = None
@@ -122,14 +127,42 @@ class Lattice:
         return (common & -common).bit_length() - 1
 
     @property
-    def normal(self) -> tuple[int, ...]:
-        """The positions of the normal members, ascending."""
-        if self._normal is None:
+    def class_of(self) -> tuple[int, ...]:
+        """class_of[i]: the position of the lowest member conjugate to L_i.
+
+        The classes are the orbits of the members under conjugation by
+        the generators recorded for G, since every element of G is a
+        word in them.  Members are taken in ascending order, and each
+        one not yet reached starts the orbit it is the lowest member of.
+        """
+        if self._class_of is None:
             ktab = self.group.ktab
+            gens = ktab.generators((1 << self.group.order) - 1)
+            masks = [s.mask for s in self.subgroups]
+            index_of = self.index_of
+            class_of = [-1] * len(masks)
+            for i in range(len(masks)):
+                if class_of[i] >= 0:
+                    continue
+                class_of[i] = i
+                orbit = [i]
+                for j in orbit:  # orbit grows while it is scanned
+                    for g in gens:
+                        k = index_of[kernels.conjugate_mask(ktab, masks[j], g)]
+                        if class_of[k] < 0:
+                            class_of[k] = i
+                            orbit.append(k)
+            self._class_of = tuple(class_of)
+        return self._class_of
+
+    @property
+    def normal(self) -> tuple[int, ...]:
+        """The positions of the normal members, ascending: the members
+        alone in their conjugacy class."""
+        if self._normal is None:
+            sizes = Counter(self.class_of)
             self._normal = tuple(
-                i
-                for i, s in enumerate(self.subgroups)
-                if kernels.is_normal_mask(ktab, s.mask)
+                i for i, c in enumerate(self.class_of) if sizes[c] == 1
             )
         return self._normal
 

@@ -30,6 +30,14 @@ def closure(table, gens):
         members |= new
 
 
+def conjugates(table, s_set):
+    """The class of the element set S: g^-1 S g for every element g."""
+    return {
+        frozenset(table[table[inverse(table, g)][x]][g] for x in s_set)
+        for g in range(len(table))
+    }
+
+
 def product_set(table, a_set, b_set):
     return {table[a][b] for a in a_set for b in b_set}
 

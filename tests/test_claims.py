@@ -7,6 +7,7 @@ import pytest
 
 from latdeg import (
     Group,
+    characters,
     claims,
     enumerate_subgroups,
     make_cyclic,
@@ -131,6 +132,38 @@ def test_c16_reports_a_derived_subgroup_that_is_not_cyclic(monkeypatch):
     assert [(r.instance, r.applicable, r.holds, r.note) for r in res] == [
         ("", False, None, "derived subgroup is not cyclic")
     ]
+
+
+def test_c17_reports_xi_that_is_not_a_class_function(monkeypatch):
+    # xi patched to the position of <a>: constant on each cyclic member,
+    # but the three transpositions of S(3), one class, lie in three of
+    # them.  C17 must compare xi across each class; keyed by class it
+    # would see one value per class and hold
+    monkeypatch.setattr(characters, "xi", lambda lat, a: lat.cyclic[a])
+    [result] = claims.run_claim("C17", make_symmetric(3))
+    assert result.applicable and result.holds is False
+    assert result.lhs == len(result.witnesses) == 2
+
+
+def test_claim_caches_hold_one_entry_per_class_and_depth():
+    # S(4) has 30 subgroups in 11 conjugacy classes; after every claim
+    # has run, each class-keyed cache holds one value per class and depth
+    ctx = claims._Context(
+        make_symmetric(4), claims.DEFAULT_N_MAX, claims.DEFAULT_TUPLE_BUDGET, None
+    )
+    for cid in claims.CLAIMS:
+        claims._run_one(cid, ctx)
+    lat = ctx.lattice
+    classes = set(lat.class_of)
+    depths = range(1, claims.DEFAULT_N_MAX + 1)
+    assert (len(classes), len(lat)) == (11, 30)
+    assert set(ctx._ssd_multi) == {
+        (c, n, codomain) for c in classes for n in depths for codomain in "GH"
+    }
+    assert set(ctx._d_multi) == {(c, n) for c in classes for n in depths}
+    assert set(ctx._sub_degrees) == {
+        (id(rows), c) for rows in (lat.phi_rows, lat.perm_rows) for c in classes
+    }
 
 
 def test_c20_odd_modular():

@@ -176,11 +176,17 @@ def test_verify_report_is_byte_identical_to_the_golden_report(fmt, digest):
 
 def test_verify_48_report_is_byte_identical_to_the_golden_report():
     # every built-in instance up to order 48, as the benchmark's verify-48
-    # workload runs it; the digest is the one that workload checks against
+    # workload runs it; the JSON digest is the one that workload checks
+    # against, and the CSV one pins the other writer over the same values
     code, out = run_cli(["verify", "--all-up-to", "48"])
     assert code == 1
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "544823e7c16fec9ec7ce564775d4229f07d29d9c5a449cdfab304613072e3cc8"
+    )
+    code, out = run_cli(["verify", "--all-up-to", "48", "--format", "csv"])
+    assert code == 1
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "7807f66128f9f5b10e93a16d2143612937b65ccedbbc4b54d1145e1a1f7b0f7c"
     )
 
 

@@ -11,6 +11,7 @@ from latdeg import (
     d_group,
     d_multi,
     d_pair,
+    direct_product,
     enumerate_subgroups,
     make_cyclic,
     make_dihedral,
@@ -21,6 +22,7 @@ from latdeg import (
     ssd_group,
     ssd_multi,
 )
+from latdeg.groups import bit_positions
 
 
 def test_d_group_values():
@@ -242,3 +244,44 @@ def test_degrees_are_reduced_probabilities(builtin24):
         ):
             assert 0 < value <= 1
             assert gcd(value.numerator, value.denominator) == 1
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        make_symmetric(4),
+        make_dihedral(6),
+        direct_product(make_dihedral(4), make_cyclic(2)),
+    ],
+    ids=["S(4)", "D(6)", "D(4) x C(2)"],
+)
+def test_degrees_are_equal_on_conjugate_members(group):
+    # conjugation by g is a lattice automorphism fixing G, so every degree
+    # of H that reads only the lattice below H or below G is that of H^g;
+    # the claim caches key these values by conjugacy class on that ground
+    lat = enumerate_subgroups(group)
+    index_of = {frozenset(s.members()): i for i, s in enumerate(lat)}
+    depths = (1, 2, 3)
+
+    def density(rows, below):
+        count = sum((rows[j] & below).bit_count() for j in bit_positions(below))
+        return Fraction(count, below.bit_count() ** 2)
+
+    def values(i):
+        h, below = lat[i], lat.down[i]
+        return (
+            [ssd_multi(lat, h, n) for n in depths],
+            [ssd_multi(lat, h, n, codomain=h) for n in depths],
+            [d_multi(group, n, within=h) for n in depths],
+            density(lat.phi_rows, below),
+            density(lat.perm_rows, below),
+        )
+
+    per_member = [values(i) for i in range(len(lat))]
+    moved = 0
+    for i, s in enumerate(lat):
+        for conjugate in oracles.conjugates(group.table, s.members()):
+            j = index_of[conjugate]
+            moved += j != i
+            assert per_member[j] == per_member[i], (i, j)
+    assert moved > 0

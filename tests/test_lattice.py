@@ -29,7 +29,7 @@ from latdeg import (
     xi,
 )
 from latdeg.arith import sigma, tau
-from latdeg.groups import bit_positions
+from latdeg.groups import bit_positions, direct_product
 
 PUBLIC_API = [
     "BACKEND",
@@ -365,6 +365,29 @@ def test_normal_subgroups(builtin16):
         )
         assert lat.normal == normal
         assert normal_subgroups(lat) == [lat[i] for i in normal]
+
+
+def test_class_of_matches_brute_force_conjugation(builtin24):
+    # class_of[i] is the lowest member conjugate to L_i, found here by
+    # conjugating every member by every element; the normal members are
+    # those alone in their class, and an abelian group has no other
+    products = [
+        direct_product(
+            direct_product(make_dihedral(4), make_cyclic(2)), make_cyclic(2)
+        ),
+        direct_product(make_quaternion(), make_cyclic(3)),
+    ]
+    lats = [lat for _, lat in builtin24] + [enumerate_subgroups(g) for g in products]
+    for lat in lats:
+        index_of = {frozenset(s.members()): i for i, s in enumerate(lat)}
+        classes = [
+            {index_of[c] for c in oracles.conjugates(lat.group.table, s.members())}
+            for s in lat
+        ]
+        assert lat.class_of == tuple(min(c) for c in classes)
+        assert lat.normal == tuple(i for i, c in enumerate(classes) if len(c) == 1)
+        if lat.group.is_abelian:
+            assert lat.class_of == tuple(range(len(lat)))
 
 
 def test_membership_errors():
