@@ -1,7 +1,6 @@
 """latdeg: exact commutativity degrees over subgroup lattices of small
 finite groups, with a claim-verification harness and CLI."""
 
-from latdeg._kernels import BACKEND
 from latdeg.characters import class_count, equal_generator_invariance, ssd_cyclic, xi
 from latdeg.claims import (
     Claim,
@@ -44,6 +43,8 @@ from latdeg.lattice import (
 )
 
 __version__ = "0.1.0"
+
+BACKEND = "pure"  # the one kernel backend, latdeg._kernels
 
 __all__ = [
     "BACKEND",

@@ -3,6 +3,12 @@
 Element sets are arbitrary-precision ints with bit ``i`` standing for
 element ``i``.  Every kernel takes a prepared table handle as returned
 by :func:`prepare_table`.
+
+The rest of latdeg calls the kernels through this module
+(``kernels.closure_mask(...)``), so a name rebound here, as
+perfbench/layertrace.py does for the length of a traced run, reaches
+every call.  No kernel calls another kernel by its module-level name,
+so such a rebinding counts only the calls made from outside.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from math import gcd
 
 from latdeg import characters, degrees
 from latdeg.arith import is_prime, sigma, tau
-from latdeg.degrees import BudgetExceeded, DEFAULT_TUPLE_BUDGET
+from latdeg.degrees import DEFAULT_TUPLE_BUDGET, MULTI_N_CAP, BudgetExceeded
 from latdeg.groups import (
     Group,
     OrderCapExceeded,
@@ -88,19 +88,20 @@ class _Context:
         self.cap = cap
         self.lattice = enumerate_subgroups(group, cap=cap)
         self._quotients: dict[int, tuple[int, Fraction]] = {}
-        self._ssd_multi: dict[tuple[int, int, int | str], Fraction] = {}
+        self._ssd_multi: dict[tuple[int, int, bool], Fraction] = {}
         self._d_multi: dict[tuple[int, int], Fraction] = {}
-        self._sub_degrees: dict[tuple[int, int], Fraction] = {}
+        self._sub_degrees: dict[tuple[str, int], Fraction] = {}
         self._factors: tuple[list | None, str | None] | None = None
 
-    def sub_degree(self, rows: tuple[int, ...], i: int) -> Fraction:
-        """The pair density of ``rows`` on the sublattice below L_i:
-        ssd(L_i) from ``lattice.phi_rows``, sd(L_i) from
-        ``lattice.perm_rows``.  Keyed by the identity of ``rows``, which
-        must be one of those two: they live as long as the lattice."""
-        key = (id(rows), self.lattice.class_of[i])
+    def sub_degree(self, degree: str, i: int) -> Fraction:
+        """ssd(L_i) for ``degree`` "ssd", sd(L_i) for "sd": the density
+        of the commuting, or permuting, pairs in the sublattice below
+        L_i.  Keyed by the degree and the class of L_i."""
+        key = (degree, self.lattice.class_of[i])
         if key not in self._sub_degrees:
-            below = self.lattice.down[i]
+            lat = self.lattice
+            rows = lat.phi_rows if degree == "ssd" else lat.perm_rows
+            below = lat.down[i]
             count = sum((rows[j] & below).bit_count() for j in bit_positions(below))
             self._sub_degrees[key] = Fraction(count, below.bit_count() ** 2)
         return self._sub_degrees[key]
@@ -144,17 +145,14 @@ class _Context:
             self._quotients[n_idx] = (len(above), Fraction(count, len(above) ** 2))
         return self._quotients[n_idx]
 
-    def ssd_multi(self, h: Subgroup, n: int, codomain: Subgroup | None = None) -> Fraction:
-        """ssd_n(H, codomain), keyed by the class of H when the codomain
-        is G or H itself, and by both masks for any other codomain."""
-        if codomain is None or codomain.mask == h.mask:
-            cls = self.lattice.class_of[self.lattice.index(h)]
-            key = (cls, n, "G" if codomain is None else "H")
-        else:
-            key = (h.mask, n, codomain.mask)
+    def ssd_multi(self, i: int, n: int, *, diagonal: bool = False) -> Fraction:
+        """ssd_n(L_i, G), or ssd_n(L_i, L_i) when ``diagonal``, keyed by
+        the class of L_i."""
+        key = (self.lattice.class_of[i], n, diagonal)
         if key not in self._ssd_multi:
+            h = self.lattice[i]
             self._ssd_multi[key] = degrees.ssd_multi(
-                self.lattice, h, n, codomain=codomain, n_cap=max(4, n)
+                self.lattice, h, n, codomain=h if diagonal else None
             )
         return self._ssd_multi[key]
 
@@ -290,7 +288,7 @@ def _c3(ctx: _Context):
 def _c4_bound(ctx: _Context, n_idx: int, middle_from_quotient: bool) -> Fraction:
     lat = ctx.lattice
     l_n = lat.down[n_idx].bit_count()
-    ssd_n = ctx.sub_degree(lat.phi_rows, n_idx)
+    ssd_n = ctx.sub_degree("ssd", n_idx)
     l_q, ssd_q = ctx.quotient_stats(n_idx)
     middle = ssd_q if middle_from_quotient else ssd_n
     return (
@@ -338,7 +336,7 @@ def _c5(ctx: _Context):
     produced = False
     for n_idx in lat.normal:
         sub = lat[n_idx]
-        if ctx.sub_degree(lat.phi_rows, n_idx) != 1:
+        if ctx.sub_degree("ssd", n_idx) != 1:
             continue
         l_q, ssd_q = ctx.quotient_stats(n_idx)
         if ssd_q != 1:
@@ -377,7 +375,7 @@ def _c6(ctx: _Context):
             continue
         produced = True
         l_n = lat.down[n_idx].bit_count()
-        ssd_n = ctx.sub_degree(lat.phi_rows, n_idx)
+        ssd_n = ctx.sub_degree("ssd", n_idx)
         rhs = (ssd_n * l_n**2 + 2 * l_n + 1) / len(lat) ** 2
         yield _res(
             ctx, "C6", f"N=#{n_idx}", value >= rhs, value, rhs,
@@ -404,7 +402,7 @@ def _c7(ctx: _Context):
     derived = g.derived_series()[1]
     d_idx = lat.index(derived)
     l_d = lat.down[d_idx].bit_count()
-    ssd_d = ctx.sub_degree(lat.phi_rows, d_idx)
+    ssd_d = ctx.sub_degree("ssd", d_idx)
     rhs = (ssd_d * l_d**2 + 2 * l_d + 1) / len(lat) ** 2
     yield _res(ctx, "C7", f"G'=#{d_idx}", value >= rhs, value, rhs)
     if g.is_metabelian:
@@ -429,9 +427,9 @@ def _c8(ctx: _Context):
         below = lat.down[h_idx]
         dom = bit_positions(below)
         l_h = len(dom)
-        lhs = Fraction(l_h**2, size**2) * ctx.sub_degree(rows, h_idx)
+        lhs = Fraction(l_h**2, size**2) * ctx.sub_degree("ssd", h_idx)
         yield _res(ctx, "C8", f"H=#{h_idx}", lhs <= ssd_g, lhs, ssd_g)
-        sd_h = ctx.sub_degree(lat.perm_rows, h_idx)
+        sd_h = ctx.sub_degree("sd", h_idx)
         yield _res(
             ctx, "C8", f"H=#{h_idx}|sd-chain", sd_h <= sd_g, sd_h, sd_g,
             witnesses=() if sd_h <= sd_g else (f"H={h.bitstring()}",),
@@ -485,7 +483,7 @@ def _c9(ctx: _Context):
 )
 def _c10(ctx: _Context):
     for h_idx, h in enumerate(ctx.lattice.subgroups):
-        values = [ctx.ssd_multi(h, n) for n in range(1, ctx.n_max + 1)]
+        values = [ctx.ssd_multi(h_idx, n) for n in range(1, ctx.n_max + 1)]
         for n in range(1, ctx.n_max):
             lhs, rhs = values[n - 1], values[n]
             yield _res(
@@ -502,13 +500,13 @@ def _c10(ctx: _Context):
     "every subgroup H, depths up to n_max",
 )
 def _c11(ctx: _Context):
-    full = ctx.group.full_subgroup()
+    full = len(ctx.lattice) - 1
     ssd_g = degrees.ssd_group(ctx.lattice)
     sd_g = degrees.sd_group(ctx.lattice)
     diag = {n: ctx.ssd_multi(full, n) for n in range(1, ctx.n_max + 1)}
     for h_idx, h in enumerate(ctx.lattice.subgroups):
         for n in range(1, ctx.n_max + 1):
-            lhs = ctx.ssd_multi(h, n)
+            lhs = ctx.ssd_multi(h_idx, n)
             rhs = diag[n]
             yield _res(
                 ctx, "C11", f"H=#{h_idx},n={n}", lhs <= rhs, lhs, rhs,
@@ -534,7 +532,7 @@ def _c12(ctx: _Context):
     depths = range(1, ctx.n_max + 1)
 
     def factor_degrees(flat: Lattice, s: Subgroup) -> list[Fraction]:
-        return [degrees.ssd_multi(flat, s, n, n_cap=max(4, n)) for n in depths]
+        return [degrees.ssd_multi(flat, s, n) for n in depths]
 
     if len(factors) == 2:
         lat1, lat2 = factors
@@ -547,7 +545,7 @@ def _c12(ctx: _Context):
                 for x in a.members():
                     for y in b.members():
                         mask |= 1 << (x * order2 + y)
-                ab = Subgroup.from_mask(mask, ctx.group.order)
+                ab = ctx.lattice.index_of[mask]
                 for n in depths:
                     lhs = ctx.ssd_multi(ab, n)
                     rhs = values1[n - 1] * values2[i2][n - 1]
@@ -556,7 +554,7 @@ def _c12(ctx: _Context):
                     )
     else:
         # with more than two factors, check the full product per depth
-        full = ctx.group.full_subgroup()
+        full = len(ctx.lattice) - 1
         values = [factor_degrees(flat, flat.group.full_subgroup()) for flat in factors]
         for n in depths:
             lhs = ctx.ssd_multi(full, n)
@@ -589,7 +587,7 @@ def _c13(ctx: _Context):
                     instance=f"H=#{h_idx},n={n}",
                 )
                 continue
-            lhs = ctx.ssd_multi(h, n, codomain=h)
+            lhs = ctx.ssd_multi(h_idx, n, diagonal=True)
             # d_n(K, K) = good_K / |K|^e with good_K an integer, so
             # |H|^e times the sum of d_n(K, K) is the sum of good_K
             # (|H|/|K|)^e, |K| dividing |H|
@@ -613,14 +611,14 @@ def _c13(ctx: _Context):
     "every subgroup H, depths up to n_max",
 )
 def _c14(ctx: _Context):
-    full = ctx.group.full_subgroup()
+    full = len(ctx.lattice) - 1
     size = len(ctx.lattice)
     diag = {n: ctx.ssd_multi(full, n) for n in range(1, ctx.n_max + 1)}
     for h_idx, h in enumerate(ctx.lattice.subgroups):
         l_h = ctx.lattice.down[h_idx].bit_count()
         for n in range(1, ctx.n_max + 1):
             lhs = Fraction(l_h ** (n + 1), size ** (n + 1)) * ctx.ssd_multi(
-                h, n, codomain=h
+                h_idx, n, diagonal=True
             )
             yield _res(
                 ctx, "C14", f"H=#{h_idx},n={n}", lhs <= diag[n], lhs, diag[n]
@@ -748,9 +746,14 @@ def _c20(ctx: _Context):
 
 
 def _params(params: dict | None) -> tuple[int, int, int | None]:
+    """(n_max, tuple budget, order cap); BudgetExceeded if n_max is above
+    the depth cap of the iterated degrees, before any claim runs."""
     params = params or {}
+    n_max = int(params.get("n_max", DEFAULT_N_MAX))
+    if n_max > MULTI_N_CAP:
+        raise BudgetExceeded(f"n_max = {n_max} exceeds the cap {MULTI_N_CAP}")
     return (
-        int(params.get("n_max", DEFAULT_N_MAX)),
+        n_max,
         int(params.get("tuple_budget", DEFAULT_TUPLE_BUDGET)),
         params.get("order_cap"),
     )

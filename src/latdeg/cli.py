@@ -265,10 +265,7 @@ def _degrees_entry(spec: GroupSpec, n_max: int, cap: int | None) -> tuple:
         _rational(degrees.d_group(group)),
         _rational(degrees.sd_group(lat)),
         _rational(degrees.ssd_group(lat)),
-        [
-            _rational(degrees.ssd_multi(lat, full, n, n_cap=max(4, n_max)))
-            for n in range(1, n_max + 1)
-        ],
+        [_rational(degrees.ssd_multi(lat, full, n)) for n in range(1, n_max + 1)],
     )
 
 
@@ -371,9 +368,14 @@ def _failure(exc: ValueError) -> int:
 
 
 def _settings(args: argparse.Namespace) -> int:
-    """Effective order cap; ValueError on a bad --n-max or cap setting."""
+    """Effective order cap; ValueError on a bad --n-max or cap setting,
+    before any group is built."""
     if args.n_max < 0:
         raise ValueError(f"--n-max must be at least 0, got {args.n_max}")
+    if args.n_max > degrees.MULTI_N_CAP:
+        raise BudgetExceeded(
+            f"--n-max must be at most {degrees.MULTI_N_CAP}, got {args.n_max}"
+        )
     return order_cap(args.order_cap)
 
 

@@ -2,6 +2,11 @@
 
 No floating point touches any value here: the degrees are ratios of
 tuple counts and all comparisons downstream are exact.
+
+The degrees of subgroups read their group from the subgroups, or from
+the lattice they are taken in.  The one function that takes a group
+beside a subgroup is ``d_multi(g, n, within=K)``, whose ``within`` is
+optional; it refuses a ``K`` of another group.
 """
 
 from __future__ import annotations
@@ -10,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from latdeg import _kernels as kernels
-from latdeg.groups import Group, Subgroup, bit_positions
-from latdeg.lattice import Lattice, _check_parent
+from latdeg.groups import Group, Subgroup, bit_positions, same_group
+from latdeg.lattice import Lattice
 
 DEFAULT_TUPLE_BUDGET = 10_000_000
 MULTI_N_CAP = 4
@@ -28,10 +33,9 @@ def d_group(g: Group) -> Fraction:
     return Fraction(kernels.count_commuting_pairs(g.ktab), n * n)
 
 
-def d_pair(g: Group, h: Subgroup, k: Subgroup) -> Fraction:
+def d_pair(h: Subgroup, k: Subgroup) -> Fraction:
     """Probability that a pair from H x K commutes; d(G, G) = d(G)."""
-    _check_parent(g, h, k)
-    good = kernels.sum_centralizer_orders(g.ktab, h.mask, k.mask)
+    good = kernels.sum_centralizer_orders(same_group(h, k).ktab, h.mask, k.mask)
     return Fraction(good, h.size * k.size)
 
 
@@ -51,13 +55,13 @@ def d_multi(
     degree ranges over, so the inputs that raise ``BudgetExceeded`` are
     the same as under direct enumeration.
 
-    ``within`` restricts the tuple entries to a subgroup (the commutator
-    values then stay inside it).
+    ``within`` restricts the tuple entries to a subgroup of ``g`` (the
+    commutator values then stay inside it).
     """
     if n < 1:
         raise ValueError(f"tuple degree needs n >= 1, got {n}")
-    if within is not None:
-        _check_parent(g, within)
+    if within is not None and within.group is not g:
+        raise ValueError("within is a subgroup of another group")
     size = within.size if within is not None else g.order
     tuples = size ** (n + 1)
     if tuples > budget:
@@ -125,7 +129,6 @@ def ssd_multi(
     n: int,
     *,
     codomain: Subgroup | None = None,
-    n_cap: int = MULTI_N_CAP,
 ) -> Fraction:
     """Probability that [L_1, ..., L_n, K] = 1 for L_i drawn from the
     subgroups of H and K from the subgroups of ``codomain`` (the whole
@@ -137,18 +140,19 @@ def ssd_multi(
     with a value bracket to the trivial member 0; where they are most
     of the domain, they are counted at once from the value's
     ``phi_rows`` row and only the rest are looked up in the table.
+
+    The fold's counts grow to about n log2 |L| bits, so depths above
+    MULTI_N_CAP raise BudgetExceeded.
     """
     if n < 1:
         raise ValueError(f"iterated degree needs n >= 1, got {n}")
-    if n > n_cap:
-        raise BudgetExceeded(f"n = {n} exceeds the configured cap {n_cap}")
-    _check_parent(lat.group, h)
+    if n > MULTI_N_CAP:
+        raise BudgetExceeded(f"n = {n} exceeds the cap {MULTI_N_CAP}")
     dom_mask = lat.down[lat.index(h)]
     dom = bit_positions(dom_mask)
     if codomain is None:
         cod_mask = (1 << len(lat)) - 1
     else:
-        _check_parent(lat.group, codomain)
         cod_mask = lat.down[lat.index(codomain)]
     table = bracket_table(lat).entries
     rows = phi_rows(lat)

@@ -4,18 +4,20 @@ A :class:`Group` stores an ``order x order`` table with ``table[a][b]``
 the index of ``a*b``; element 0 is always the identity.  Constructors
 for the built-in families (cyclic, dihedral, symmetric, quaternion,
 modular p-groups, direct products, quotients) normalize to that
-convention.  Subgroups are bitmasks over the parent's element indices.
+convention.  A :class:`Subgroup` is a bitmask over its group's element
+indices and holds that group, so the functions of subgroups read the
+group from them.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from latdeg import _kernels as kernels
-from latdeg._kernels.pure import bit_positions
+from latdeg._kernels import bit_positions
 from latdeg.arith import is_prime
 
 DEFAULT_ORDER_CAP = 200
@@ -59,31 +61,27 @@ def _check_cap(order: int, cap: int | None, what: str) -> None:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """Membership bitmask over a parent group's element indices."""
+    """Membership bitmask over the element indices of ``group``."""
 
     mask: int
-    size: int
-    parent_order: int
+    group: "Group"
+    size: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.mask & 1:
             raise ValueError("subgroup mask must contain the identity (bit 0)")
-        if self.mask.bit_count() != self.size:
-            raise ValueError("subgroup size does not match its mask popcount")
-        if self.mask >> self.parent_order:
-            raise ValueError("subgroup mask has bits outside the parent group")
-
-    @classmethod
-    def from_mask(cls, mask: int, parent_order: int) -> "Subgroup":
-        return cls(mask=mask, size=mask.bit_count(), parent_order=parent_order)
+        if self.mask >> self.group.order:
+            raise ValueError("subgroup mask has bits outside its group")
+        object.__setattr__(self, "size", self.mask.bit_count())
 
     def members(self) -> list[int]:
         return bit_positions(self.mask)
 
     def __contains__(self, element: int) -> bool:
-        return 0 <= element < self.parent_order and bool(self.mask >> element & 1)
+        return 0 <= element < self.group.order and bool(self.mask >> element & 1)
 
     def is_subset_of(self, other: "Subgroup") -> bool:
+        same_group(self, other)
         return self.mask & ~other.mask == 0
 
     @property
@@ -92,7 +90,14 @@ class Subgroup:
 
     def bitstring(self) -> str:
         """Membership as a '01' string, element 0 first."""
-        return format(self.mask, f"0{self.parent_order}b")[::-1]
+        return format(self.mask, f"0{self.group.order}b")[::-1]
+
+
+def same_group(h: Subgroup, k: Subgroup) -> Group:
+    """The group of ``h`` and ``k``; ValueError if they belong to two."""
+    if h.group is not k.group:
+        raise ValueError("subgroups belong to different groups")
+    return h.group
 
 
 class Group:
@@ -139,7 +144,7 @@ class Group:
         self._ktab = None
         self._abelian: bool | None = None
         self._classes: tuple[tuple[int, ...], ...] | None = None
-        self._derived: tuple[Subgroup, ...] | None = None
+        self._derived: tuple[int, ...] | None = None  # masks, see derived_series
 
     def __repr__(self) -> str:
         return f"Group({self.label!r}, order={self.order})"
@@ -191,37 +196,42 @@ class Group:
             if not 0 <= g < self.order:
                 raise ValueError(f"element index {g} out of range")
             mask |= 1 << g
-        return Subgroup.from_mask(kernels.closure_mask(self.ktab, mask), self.order)
+        return Subgroup(kernels.closure_mask(self.ktab, mask), self)
 
     def trivial_subgroup(self) -> Subgroup:
-        return Subgroup.from_mask(1, self.order)
+        return Subgroup(1, self)
 
     def full_subgroup(self) -> Subgroup:
-        return Subgroup.from_mask((1 << self.order) - 1, self.order)
+        return Subgroup((1 << self.order) - 1, self)
 
     def derived_series(self) -> tuple[Subgroup, ...]:
-        """G >= G' >= G'' >= ... until the series stabilizes."""
+        """G >= G' >= G'' >= ... until the series stabilizes.
+
+        The group caches the masks, not the subgroups: a subgroup refers
+        to its group, and the cycle would keep both alive until a full
+        garbage collection.
+        """
         if self._derived is None:
-            series = [self.full_subgroup()]
+            series = [(1 << self.order) - 1]
             while True:
                 cur = series[-1]
-                nxt = kernels.commutator_closure_mask(self.ktab, cur.mask, cur.mask)
-                if nxt == cur.mask:
+                nxt = kernels.commutator_closure_mask(self.ktab, cur, cur)
+                if nxt == cur:
                     break
-                series.append(Subgroup.from_mask(nxt, self.order))
+                series.append(nxt)
                 if nxt == 1:
                     break
             self._derived = tuple(series)
-        return self._derived
+        return tuple(Subgroup(m, self) for m in self._derived)
 
     @property
     def is_solvable(self) -> bool:
-        return self.derived_series()[-1].size == 1
+        return self.derived_series()[-1].is_trivial
 
     @property
     def is_metabelian(self) -> bool:
         series = self.derived_series()
-        return len(series) <= 3 and series[-1].size == 1
+        return len(series) <= 3 and series[-1].is_trivial
 
     def validate(self) -> None:
         """Assert the full table axioms, associativity included.
@@ -351,15 +361,14 @@ def direct_product(g1: Group, g2: Group, *, cap: int | None = None) -> Group:
     return Group(table, label, factors=factors)
 
 
-def quotient(g: Group, n_sub: Subgroup) -> Group:
+def quotient(n_sub: Subgroup) -> Group:
     """Group on the cosets of a normal subgroup, identity coset first.
 
     The claim runners do not build quotients: they read L(G/N) and its
     commuting pairs off the parent lattice (see ``claims``).  This stays
     as public API and as the tests' reference for that reading.
     """
-    if n_sub.parent_order != g.order:
-        raise ValueError("subgroup does not belong to this group")
+    g = n_sub.group
     if not kernels.is_normal_mask(g.ktab, n_sub.mask):
         raise ValueError(f"subgroup of size {n_sub.size} is not normal in {g.label}")
     members = n_sub.members()

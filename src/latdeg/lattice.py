@@ -27,6 +27,7 @@ from latdeg.groups import (
     Subgroup,
     bit_positions,
     order_cap,
+    same_group,
 )
 
 
@@ -42,6 +43,8 @@ class Lattice:
     """
 
     def __init__(self, group: Group, subgroups: list[Subgroup]):
+        if any(s.group is not group for s in subgroups):
+            raise ValueError("lattice members must be subgroups of its group")
         n = group.order
         ordered = sorted(subgroups, key=lambda s: (s.size, _lex_key(s.mask, n)))
         self.group = group
@@ -70,6 +73,10 @@ class Lattice:
         return self.subgroups[i]
 
     def index(self, sub: Subgroup) -> int:
+        """The position of ``sub``; ValueError if it is not a member, also
+        when it is a subgroup of another group."""
+        if sub.group is not self.group:
+            raise ValueError("subgroup belongs to another group")
         try:
             return self.index_of[sub.mask]
         except KeyError:
@@ -264,37 +271,28 @@ def enumerate_subgroups(g: Group, *, cap: int | None = None) -> Lattice:
                 seen.add(joined)
                 masks.append(joined)
         k += 1
-    subs = [Subgroup.from_mask(m, g.order) for m in masks]
-    return Lattice(g, subs)
+    return Lattice(g, [Subgroup(m, g) for m in masks])
 
 
-def _check_parent(g: Group, *subs: Subgroup) -> None:
-    for s in subs:
-        if s.parent_order != g.order:
-            raise ValueError("subgroup does not belong to this group")
-
-
-def permutes(g: Group, h: Subgroup, k: Subgroup) -> bool:
+def permutes(h: Subgroup, k: Subgroup) -> bool:
     """True iff the element sets HK and KH coincide."""
-    _check_parent(g, h, k)
+    g = same_group(h, k)
     hk = kernels.product_mask(g.ktab, h.mask, k.mask)
     kh = kernels.product_mask(g.ktab, k.mask, h.mask)
     return hk == kh
 
 
-def commutator_subgroup(g: Group, h: Subgroup, k: Subgroup) -> Subgroup:
+def commutator_subgroup(h: Subgroup, k: Subgroup) -> Subgroup:
     """[H, K]: subgroup generated by all commutators [h, k].
 
     The kernel works from generators of H and K, so both must be
     subgroups; any other element set raises ValueError.
     """
-    _check_parent(g, h, k)
+    g = same_group(h, k)
     for s in (h, k):
         if kernels.closure_mask(g.ktab, s.mask) != s.mask:
             raise ValueError("element set is not a subgroup")
-    return Subgroup.from_mask(
-        kernels.commutator_closure_mask(g.ktab, h.mask, k.mask), g.order
-    )
+    return Subgroup(kernels.commutator_closure_mask(g.ktab, h.mask, k.mask), g)
 
 
 def normal_subgroups(lat: Lattice) -> list[Subgroup]:

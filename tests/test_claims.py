@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import gc
+import weakref
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 
 from latdeg import (
+    BudgetExceeded,
     Group,
     characters,
     claims,
+    cli,
     enumerate_subgroups,
     make_cyclic,
     make_dihedral,
@@ -158,12 +162,36 @@ def test_claim_caches_hold_one_entry_per_class_and_depth():
     depths = range(1, claims.DEFAULT_N_MAX + 1)
     assert (len(classes), len(lat)) == (11, 30)
     assert set(ctx._ssd_multi) == {
-        (c, n, codomain) for c in classes for n in depths for codomain in "GH"
+        (c, n, diagonal) for c in classes for n in depths for diagonal in (False, True)
     }
     assert set(ctx._d_multi) == {(c, n) for c in classes for n in depths}
-    assert set(ctx._sub_degrees) == {
-        (id(rows), c) for rows in (lat.phi_rows, lat.perm_rows) for c in classes
-    }
+    assert set(ctx._sub_degrees) == {(d, c) for d in ("ssd", "sd") for c in classes}
+
+
+def test_every_group_is_freed_by_reference_counting():
+    # run_suite lets each group go as it moves on to the next; a cycle
+    # between a group and its subgroups would keep the group, with its
+    # kernel table, alive until a full collection, switched off here
+    groups = claims.builtin_groups_up_to(24)
+    refs = [weakref.ref(g) for g in groups]
+    gc.disable()
+    try:
+        claims.run_suite(cli._handed_out(groups))
+        kept = [r().label for r in refs if r() is not None]
+    finally:
+        gc.enable()
+    assert (len(refs), kept) == (43, [])
+
+
+def test_n_max_above_the_depth_cap_is_refused_before_any_group_runs(monkeypatch):
+    def no_context(*args):
+        raise AssertionError("a group ran")
+
+    monkeypatch.setattr(claims, "_Context", no_context)
+    with pytest.raises(BudgetExceeded, match="cap 4"):
+        claims.run_suite([make_cyclic(4)], params={"n_max": 5})
+    with pytest.raises(BudgetExceeded, match="cap 4"):
+        claims.run_claim("C10", make_cyclic(4), {"n_max": 5})
 
 
 def test_c20_odd_modular():

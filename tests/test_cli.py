@@ -16,7 +16,7 @@ import pytest
 
 import latdeg
 from latdeg import claims, cli
-from latdeg._kernels.pure import Table
+from latdeg._kernels import Table
 
 
 def run_cli(argv):
@@ -337,6 +337,20 @@ def test_negative_n_max_exits_2(argv, capsys):
     assert run_cli([*argv, "--n-max", "-1"]) == (2, "")
     assert "--n-max" in _one_line_error(capsys)
     assert run_cli([*argv, "--n-max", "0"])[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv", [["degrees", "-g", "C(4)"], ["verify", "-g", "C(4)", "--claims", "C1"]]
+)
+def test_n_max_above_the_depth_cap_exits_3(argv, monkeypatch, capsys):
+    def no_build(*args):
+        raise AssertionError("a group was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.GroupSpec, "build", no_build)
+        assert run_cli([*argv, "--n-max", "5"]) == (3, "")
+    assert "--n-max must be at most 4" in _one_line_error(capsys)
+    assert run_cli([*argv, "--n-max", "4"])[0] == 0
 
 
 def test_stale_backend_variable_is_ignored():

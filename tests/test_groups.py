@@ -107,13 +107,13 @@ def test_direct_product():
 def test_quotient():
     s3 = make_symmetric(3)
     a3 = s3.derived_series()[1]
-    q = quotient(s3, a3)
+    q = quotient(a3)
     assert q.order == 2 and q.is_abelian
     q.validate()
-    assert quotient(s3, s3.full_subgroup()).order == 1
+    assert quotient(s3.full_subgroup()).order == 1
     reflection = next(a for a in range(6) if s3.order_of(a) == 2)
     with pytest.raises(ValueError):
-        quotient(s3, s3.closure([reflection]))
+        quotient(s3.closure([reflection]))
 
 
 def test_commutator_examples():

@@ -9,13 +9,17 @@ import latdeg
 import oracles
 from latdeg import _kernels as kernels
 from latdeg import (
+    Lattice,
     Subgroup,
     characters,
     claims,
     cli,
     commutator_subgroup,
+    d_multi,
+    d_pair,
     degrees,
     enumerate_subgroups,
+    groups,
     lattice,
     make_cyclic,
     make_dihedral,
@@ -24,6 +28,7 @@ from latdeg import (
     make_symmetric,
     normal_subgroups,
     permutes,
+    quotient,
     ssd_cyclic,
     ssd_multi,
     xi,
@@ -75,11 +80,9 @@ def _sub(g, members):
     return g.closure(members)
 
 
-def _centralizer(g, k, h):
+def _centralizer(k, h):
     """C_K(H), the elements of K commuting with every element of H."""
-    return Subgroup.from_mask(
-        kernels.centralizer_mask(g.ktab, k.mask, h.mask), g.order
-    )
+    return Subgroup(kernels.centralizer_mask(k.group.ktab, k.mask, h.mask), k.group)
 
 
 def _sizes(lat, row):
@@ -94,21 +97,26 @@ def test_public_api_names():
 
 
 def test_no_function_takes_both_a_group_and_a_lattice():
-    # a lattice names its group (lat.group), so a function given both
-    # could be handed a lattice of another group
+    # a lattice names its group (lat.group) and a subgroup its own
+    # (sub.group), so a function given a group beside either could be
+    # handed one of another group.  d_multi(g, n, within=K) is the one
+    # exception: it keeps the group argument, which perfbench's tuple
+    # counter reads as args[0], and refuses a K of another group
     both = []
-    for module in (lattice, degrees, characters, claims, cli):
+    for module in (groups, lattice, degrees, characters, claims, cli):
         for name, fn in vars(module).items():
             if not inspect.isfunction(fn) or fn.__module__ != module.__name__:
                 continue
             kinds = {
                 word
                 for p in inspect.signature(fn).parameters.values()
-                for word in re.findall(r"\b(Group|Lattice)\b", str(p.annotation))
+                for word in re.findall(
+                    r"\b(Group|Lattice|Subgroup)\b", str(p.annotation)
+                )
             }
-            if kinds == {"Group", "Lattice"}:
+            if "Group" in kinds and len(kinds) > 1:
                 both.append(f"{module.__name__}.{name}")
-    assert both == []
+    assert both == ["latdeg.degrees.d_multi"]
 
 
 def test_cyclic_lattice():
@@ -168,9 +176,9 @@ def test_permutes_examples():
     lat = enumerate_subgroups(s3)
     a3 = next(s for s in lat.subgroups if s.size == 3)
     t1, t2 = [s for s in lat.subgroups if s.size == 2][:2]
-    assert permutes(s3, t1, a3)
-    assert not permutes(s3, t1, t2)
-    assert permutes(s3, t1, t1)
+    assert permutes(t1, a3)
+    assert not permutes(t1, t2)
+    assert permutes(t1, t1)
 
 
 def test_permutes_iff_product_is_subgroup(builtin16):
@@ -180,7 +188,7 @@ def test_permutes_iff_product_is_subgroup(builtin16):
             for k in lat.subgroups:
                 hk = oracles.product_set(g.table, h.members(), k.members())
                 is_sub = sum(1 << x for x in hk) in masks
-                assert permutes(g, h, k) == is_sub
+                assert permutes(h, k) == is_sub
                 # size cross-check |HK| = |H||K|/|H n K|
                 inter = (h.mask & k.mask).bit_count()
                 assert len(hk) * inter == h.size * k.size
@@ -188,23 +196,23 @@ def test_permutes_iff_product_is_subgroup(builtin16):
 
 def test_commutator_subgroup_examples():
     s3 = make_symmetric(3)
-    assert commutator_subgroup(s3, s3.full_subgroup(), s3.full_subgroup()).size == 3
-    assert commutator_subgroup(s3, s3.full_subgroup(), s3.trivial_subgroup()).size == 1
+    assert commutator_subgroup(s3.full_subgroup(), s3.full_subgroup()).size == 3
+    assert commutator_subgroup(s3.full_subgroup(), s3.trivial_subgroup()).size == 1
     q8 = make_quaternion()
     i_sub = _sub(q8, [1])
     j_sub = _sub(q8, [4])
-    center = commutator_subgroup(q8, i_sub, j_sub)
+    center = commutator_subgroup(i_sub, j_sub)
     assert center.size == 2
     assert set(center.members()) == {0, 2}
 
 
 def test_commutator_subgroup_rejects_element_sets():
     s3 = make_symmetric(3)
-    five = Subgroup.from_mask(0b011111, s3.order)  # 5 does not divide 6
+    five = Subgroup(0b011111, s3)  # 5 does not divide 6
     with pytest.raises(ValueError):
-        commutator_subgroup(s3, five, s3.full_subgroup())
+        commutator_subgroup(five, s3.full_subgroup())
     with pytest.raises(ValueError):
-        commutator_subgroup(s3, s3.full_subgroup(), five)
+        commutator_subgroup(s3.full_subgroup(), five)
 
 
 def test_commutator_subgroup_matches_oracle(builtin16):
@@ -216,22 +224,22 @@ def test_commutator_subgroup_matches_oracle(builtin16):
                 expected = oracles.commutator_subgroup(
                     g.table, h.members(), k.members()
                 )
-                assert set(commutator_subgroup(g, h, k).members()) == set(expected)
+                assert set(commutator_subgroup(h, k).members()) == set(expected)
 
 
 def test_commutator_symmetric_as_subgroup(builtin16):
     for g, lat in builtin16:
         for h in lat.subgroups:
             for k in lat.subgroups:
-                assert commutator_subgroup(g, h, k) == commutator_subgroup(g, k, h)
+                assert commutator_subgroup(h, k) == commutator_subgroup(k, h)
 
 
 def test_trivial_bracket_implies_permutes(builtin16):
     for g, lat in builtin16:
         for h in lat.subgroups:
             for k in lat.subgroups:
-                if commutator_subgroup(g, h, k).size == 1:
-                    assert permutes(g, h, k)
+                if commutator_subgroup(h, k).size == 1:
+                    assert permutes(h, k)
 
 
 def test_permutes_without_trivial_bracket_in_modular_27():
@@ -241,15 +249,15 @@ def test_permutes_without_trivial_bracket_in_modular_27():
         (h, k)
         for h in lat.subgroups
         for k in lat.subgroups
-        if permutes(m27, h, k) and commutator_subgroup(m27, h, k).size > 1
+        if permutes(h, k) and commutator_subgroup(h, k).size > 1
     ]
     assert witnesses
     # the two presentation generators are such a pair
     x = m27.closure([1])
     y = m27.closure([9])
     assert x.size == 9 and y.size == 3
-    assert permutes(m27, x, y)
-    assert commutator_subgroup(m27, x, y).size > 1
+    assert permutes(x, y)
+    assert commutator_subgroup(x, y).size > 1
 
 
 def test_centralizer_examples():
@@ -257,14 +265,14 @@ def test_centralizer_examples():
     lat = enumerate_subgroups(s3)
     a3 = next(s for s in lat.subgroups if s.size == 3)
     full = s3.full_subgroup()
-    assert _centralizer(s3, full, s3.trivial_subgroup()) == full
-    assert _centralizer(s3, full, a3) == a3
+    assert _centralizer(full, s3.trivial_subgroup()) == full
+    assert _centralizer(full, a3) == a3
     q8 = make_quaternion()
     i_sub = _sub(q8, [1])
-    assert _centralizer(q8, q8.full_subgroup(), i_sub) == i_sub
-    for g, k, h in ((s3, full, a3), (q8, q8.full_subgroup(), i_sub)):
-        expected = oracles.centralizer(g.table, k.members(), h.members())
-        assert set(_centralizer(g, k, h).members()) == expected
+    assert _centralizer(q8.full_subgroup(), i_sub) == i_sub
+    for k, h in ((full, a3), (q8.full_subgroup(), i_sub)):
+        expected = oracles.centralizer(k.group.table, k.members(), h.members())
+        assert set(_centralizer(k, h).members()) == expected
 
 
 def test_centralizer_is_intersection_of_element_centralizers(builtin16):
@@ -273,13 +281,13 @@ def test_centralizer_is_intersection_of_element_centralizers(builtin16):
             continue
         for k in lat.subgroups:
             for h in lat.subgroups:
-                whole = _centralizer(g, k, h)
+                whole = _centralizer(k, h)
                 assert set(whole.members()) == oracles.centralizer(
                     g.table, k.members(), h.members()
                 )
                 inter = k.mask
                 for a in h.members():
-                    inter &= _centralizer(g, k, g.closure([a])).mask
+                    inter &= _centralizer(k, g.closure([a])).mask
                 assert whole.mask == inter
 
 
@@ -290,8 +298,8 @@ def test_union_of_centralizers_is_full_centralizer(builtin16):
         for h in lat.subgroups:
             union = 0
             for k in lat.subgroups:
-                union |= _centralizer(g, k, h).mask
-            assert union == _centralizer(g, g.full_subgroup(), h).mask
+                union |= _centralizer(k, h).mask
+            assert union == _centralizer(g.full_subgroup(), h).mask
 
 
 def test_comm_set_examples():
@@ -390,6 +398,38 @@ def test_class_of_matches_brute_force_conjugation(builtin24):
             assert lat.class_of == tuple(range(len(lat)))
 
 
+def test_subgroups_of_another_group_are_refused():
+    # C(6) and D(3) have the same order, and <3> in C(6) has the mask of
+    # a member of L(D(3)), so only the subgroup's group tells them apart
+    d3, c6 = make_dihedral(3), make_cyclic(6)
+    c = c6.closure([3])
+    lat = enumerate_subgroups(d3)
+    own = lat[lat.index_of[c.mask]]
+    calls = {
+        "ssd_multi": lambda: ssd_multi(lat, c, 1),
+        "ssd_multi codomain": lambda: ssd_multi(lat, own, 1, codomain=c),
+        "d_pair": lambda: d_pair(own, c),
+        "permutes": lambda: permutes(c, own),
+        "commutator_subgroup": lambda: commutator_subgroup(own, c),
+        "Subgroup.is_subset_of": lambda: c.is_subset_of(d3.full_subgroup()),
+        "d_multi": lambda: d_multi(d3, 1, within=c6.full_subgroup()),
+        "Lattice.index": lambda: lat.index(c),
+        "Lattice": lambda: Lattice(d3, list(enumerate_subgroups(c6))),
+    }
+    answered = []
+    for name, call in calls.items():
+        try:
+            call()
+        except ValueError as exc:
+            assert "group" in str(exc), name
+        else:
+            answered.append(name)
+    assert answered == []
+    # quotient takes the subgroup alone, so it answers for C(6)
+    assert quotient(c6.full_subgroup()).label == "C(6)/N6"
+    assert d_pair(c, c) == 1 and ssd_multi(enumerate_subgroups(c6), c, 1) == 1
+
+
 def test_membership_errors():
     s3 = make_symmetric(3)
     d4 = make_dihedral(4)
@@ -399,7 +439,7 @@ def test_membership_errors():
     with pytest.raises(ValueError):
         ssd_multi(lat, s3.full_subgroup(), 1, codomain=d4.full_subgroup())
     with pytest.raises(ValueError):
-        permutes(s3, s3.trivial_subgroup(), d4.full_subgroup())
+        permutes(s3.trivial_subgroup(), d4.full_subgroup())
     # element indices are checked against the lattice's own group
     for element in (-1, s3.order, 7):
         with pytest.raises(ValueError):

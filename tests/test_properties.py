@@ -245,7 +245,7 @@ def test_quotient_stats_match_oracle_on_built_quotients(labels):
     group, lat = group_and_lattice(labels)
     ctx = claims._Context(group, claims.DEFAULT_N_MAX, degrees.DEFAULT_TUPLE_BUDGET, None)
     for sub in normal_subgroups(lat):
-        q = quotient(group, sub)
+        q = quotient(sub)
         expected = (len(oracles.subgroups(q.table)), oracles.ssd(q.table))
         assert ctx.quotient_stats(lat.index(sub)) == expected
 
