@@ -11,7 +11,6 @@ from latdeg.claims import (
     run_suite,
 )
 from latdeg.degrees import (
-    BracketTable,
     BudgetExceeded,
     bracket_table,
     d_group,
@@ -48,7 +47,6 @@ BACKEND = "pure"  # the one kernel backend, latdeg._kernels
 
 __all__ = [
     "BACKEND",
-    "BracketTable",
     "BudgetExceeded",
     "Claim",
     "ClaimResult",

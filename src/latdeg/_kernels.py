@@ -1,8 +1,10 @@
 """Pure-Python kernels over multiplication tables and element bitmasks.
 
 Element sets are arbitrary-precision ints with bit ``i`` standing for
-element ``i``.  Every kernel takes a prepared table handle as returned
-by :func:`prepare_table`.
+element ``i``.  Every kernel but one takes a prepared table handle as
+returned by :func:`prepare_table`; the fold
+:func:`count_trivial_iterated_commutators` takes a bracket table of
+either elements or lattice members, with 0 the trivial value.
 
 The rest of latdeg calls the kernels through this module
 (``kernels.closure_mask(...)``), so a name rebound here, as
@@ -26,13 +28,14 @@ def bit_positions(mask: int) -> list[int]:
 
 class Table:
     """Prepared multiplication table: rows, inverses, order, and what the
-    kernels learn about it as they run: the per-element centralizers,
-    C_G(H) per subgroup, the generators and elements recorded for every
-    subgroup a closure returned, and the closures the commutator kernel
-    asked for, keyed by their generating mask."""
+    kernels learn about it as they run: the element commutators, the
+    per-element centralizers, C_G(H) per subgroup, the generators and
+    elements recorded for every subgroup a closure returned, and the
+    closures the commutator kernel asked for, keyed by their generating
+    mask."""
 
     __slots__ = (
-        "n", "rows", "inv",
+        "n", "rows", "inv", "_commutators",
         "_centralizers", "_group_centralizer", "_subgroups", "_closures",
     )
 
@@ -43,10 +46,23 @@ class Table:
         for a, row in enumerate(self.rows):
             inv[a] = row.index(0)
         self.inv = inv
+        self._commutators: list[list[int]] | None = None
         self._centralizers: list[int] | None = None
         self._group_centralizer: dict[int, int] = {}
         self._subgroups: dict[int, tuple[list[int], list[int]]] = {1: ([], [0])}
         self._closures: dict[int, int] = {}
+
+    def commutators(self) -> list[list[int]]:
+        """commutators()[a][b] is the element [a, b] = a^-1 b^-1 a b."""
+        if self._commutators is None:
+            rows = self.rows
+            inv = self.inv
+            out = []
+            for a in range(self.n):
+                ria = rows[inv[a]]
+                out.append([rows[rows[ria[inv[b]]][a]][b] for b in range(self.n)])
+            self._commutators = out
+        return self._commutators
 
     def centralizers(self) -> list[int]:
         """Mask of C_G(a) for every element a."""
@@ -253,31 +269,46 @@ def sum_centralizer_orders(tab: Table, hmask: int, kmask: int) -> int:
     return sum((cent[h] & kmask).bit_count() for h in bit_positions(hmask))
 
 
-def count_trivial_iterated_commutators(tab: Table, brackets: int, mask: int) -> int:
-    """Tuples (x_1..x_{brackets+1}) from ``mask`` whose left-normed
-    iterated commutator is the identity.
+def count_trivial_iterated_commutators(
+    table, rows, dom_mask: int, cod_mask: int, n: int
+) -> int:
+    """Tuples (x_1, ..., x_n, y), x_i from ``dom_mask`` and y from
+    ``cod_mask``, whose left-normed bracket [x_1, ..., x_n, y] is
+    trivial; n >= 1.
 
-    Folds over commutator values rather than tuples: ``counts`` maps each
+    The values are positions in a bracket table: ``table[a][b]`` is the
+    position of [a, b], ``rows[a]`` the mask of the b with [a, b]
+    trivial, and 0 is the trivial value.  The elements of a group with
+    their commutators, and the members of a lattice with their
+    commutator subgroups, are both such tables.
+
+    Folds over bracket values rather than tuples: ``counts`` maps each
     value of [x_1, ..., x_i] to the number of prefixes reaching it, and
-    the last entry is counted at once, since [a, x] = 1 iff x is in
-    C_G(a).
+    the last entry is counted at once from the value's row.  The x
+    commuting with a value bracket to 0; where they are most of the
+    domain, they are counted at once from the row and only the rest are
+    looked up in the table.
     """
-    if brackets == 0:
-        return 1 if mask & 1 else 0
-    rows = tab.rows
-    inv = tab.inv
-    cent = tab.centralizers()
-    elems = bit_positions(mask)
-    counts = {e: 1 for e in elems}
-    for _ in range(brackets - 1):
+    dom = bit_positions(dom_mask)
+    counts = {i: 1 for i in dom}
+    for _ in range(n - 1):
         folded: dict[int, int] = {}
-        for a, c in counts.items():
-            ria = rows[inv[a]]
-            for e in elems:
-                t = rows[rows[ria[inv[e]]][a]][e]
+        for state, c in counts.items():
+            commuting = rows[state] & dom_mask
+            n_commuting = commuting.bit_count()
+            # listing the other j costs more than a table lookup per j, so
+            # it only pays when most of the domain commutes with the state
+            if 2 * n_commuting > len(dom):
+                folded[0] = folded.get(0, 0) + c * n_commuting
+                js = bit_positions(dom_mask & ~commuting)
+            else:
+                js = dom
+            row = table[state]
+            for j in js:
+                t = row[j]
                 folded[t] = folded.get(t, 0) + c
         counts = folded
-    return sum(c * (cent[a] & mask).bit_count() for a, c in counts.items())
+    return sum(c * (rows[state] & cod_mask).bit_count() for state, c in counts.items())
 
 
 def is_associative(tab: Table) -> bool:

@@ -19,7 +19,7 @@ from math import gcd
 
 from latdeg import characters, degrees
 from latdeg.arith import is_prime, sigma, tau
-from latdeg.degrees import DEFAULT_TUPLE_BUDGET, MULTI_N_CAP, BudgetExceeded
+from latdeg.degrees import MULTI_N_CAP, BudgetExceeded
 from latdeg.groups import (
     Group,
     OrderCapExceeded,
@@ -61,15 +61,10 @@ class ClaimResult:
 @dataclass(frozen=True)
 class SuiteReport:
     results: tuple[ClaimResult, ...]
-    group_labels: tuple[str, ...]
-    claim_ids: tuple[str, ...]
 
     @property
     def all_hold(self) -> bool:
         return all(r.holds for r in self.results if r.applicable)
-
-    def violations(self) -> list[ClaimResult]:
-        return [r for r in self.results if r.applicable and not r.holds]
 
 
 class _Context:
@@ -81,26 +76,25 @@ class _Context:
     the member's conjugacy class, ``lattice.class_of``.
     """
 
-    def __init__(self, group: Group, n_max: int, tuple_budget: int, cap: int | None):
+    def __init__(self, group: Group, n_max: int, cap: int | None):
         self.group = group
         self.n_max = n_max
-        self.tuple_budget = tuple_budget
         self.cap = cap
         self.lattice = enumerate_subgroups(group, cap=cap)
         self._quotients: dict[int, tuple[int, Fraction]] = {}
         self._ssd_multi: dict[tuple[int, int, bool], Fraction] = {}
         self._d_multi: dict[tuple[int, int], Fraction] = {}
-        self._sub_degrees: dict[tuple[str, int], Fraction] = {}
+        self._sub_degrees: dict[int, Fraction] = {}
         self._factors: tuple[list | None, str | None] | None = None
 
-    def sub_degree(self, degree: str, i: int) -> Fraction:
-        """ssd(L_i) for ``degree`` "ssd", sd(L_i) for "sd": the density
-        of the commuting, or permuting, pairs in the sublattice below
-        L_i.  Keyed by the degree and the class of L_i."""
-        key = (degree, self.lattice.class_of[i])
+    def sd_below(self, i: int) -> Fraction:
+        """sd(L_i): the density of the permuting pairs in the sublattice
+        below L_i, keyed by the class of L_i.  ssd(L_i) is
+        ``ssd_multi(i, 1, diagonal=True)``."""
+        key = self.lattice.class_of[i]
         if key not in self._sub_degrees:
             lat = self.lattice
-            rows = lat.phi_rows if degree == "ssd" else lat.perm_rows
+            rows = lat.perm_rows
             below = lat.down[i]
             count = sum((rows[j] & below).bit_count() for j in bit_positions(below))
             self._sub_degrees[key] = Fraction(count, below.bit_count() ** 2)
@@ -138,7 +132,7 @@ class _Context:
         the up-set of N, and [H/N, K/N] = 1 iff [H, K] <= N."""
         if n_idx not in self._quotients:
             lat = self.lattice
-            brackets = degrees.bracket_table(lat).entries
+            brackets = degrees.bracket_table(lat)
             above = bit_positions(lat.up[n_idx])
             inside = lat.down[n_idx]
             count = sum(inside >> brackets[i][j] & 1 for i in above for j in above)
@@ -161,7 +155,7 @@ class _Context:
         key = (self.lattice.class_of[k_idx], n)
         if key not in self._d_multi:
             self._d_multi[key] = degrees.d_multi(
-                self.group, n, within=self.lattice[k_idx], budget=self.tuple_budget
+                self.group, n, within=self.lattice[k_idx]
             )
         return self._d_multi[key]
 
@@ -288,7 +282,7 @@ def _c3(ctx: _Context):
 def _c4_bound(ctx: _Context, n_idx: int, middle_from_quotient: bool) -> Fraction:
     lat = ctx.lattice
     l_n = lat.down[n_idx].bit_count()
-    ssd_n = ctx.sub_degree("ssd", n_idx)
+    ssd_n = ctx.ssd_multi(n_idx, 1, diagonal=True)
     l_q, ssd_q = ctx.quotient_stats(n_idx)
     middle = ssd_q if middle_from_quotient else ssd_n
     return (
@@ -336,7 +330,7 @@ def _c5(ctx: _Context):
     produced = False
     for n_idx in lat.normal:
         sub = lat[n_idx]
-        if ctx.sub_degree("ssd", n_idx) != 1:
+        if ctx.ssd_multi(n_idx, 1, diagonal=True) != 1:
             continue
         l_q, ssd_q = ctx.quotient_stats(n_idx)
         if ssd_q != 1:
@@ -375,7 +369,7 @@ def _c6(ctx: _Context):
             continue
         produced = True
         l_n = lat.down[n_idx].bit_count()
-        ssd_n = ctx.sub_degree("ssd", n_idx)
+        ssd_n = ctx.ssd_multi(n_idx, 1, diagonal=True)
         rhs = (ssd_n * l_n**2 + 2 * l_n + 1) / len(lat) ** 2
         yield _res(
             ctx, "C6", f"N=#{n_idx}", value >= rhs, value, rhs,
@@ -402,7 +396,7 @@ def _c7(ctx: _Context):
     derived = g.derived_series()[1]
     d_idx = lat.index(derived)
     l_d = lat.down[d_idx].bit_count()
-    ssd_d = ctx.sub_degree("ssd", d_idx)
+    ssd_d = ctx.ssd_multi(d_idx, 1, diagonal=True)
     rhs = (ssd_d * l_d**2 + 2 * l_d + 1) / len(lat) ** 2
     yield _res(ctx, "C7", f"G'=#{d_idx}", value >= rhs, value, rhs)
     if g.is_metabelian:
@@ -427,9 +421,9 @@ def _c8(ctx: _Context):
         below = lat.down[h_idx]
         dom = bit_positions(below)
         l_h = len(dom)
-        lhs = Fraction(l_h**2, size**2) * ctx.sub_degree("ssd", h_idx)
+        lhs = Fraction(l_h**2, size**2) * ctx.ssd_multi(h_idx, 1, diagonal=True)
         yield _res(ctx, "C8", f"H=#{h_idx}", lhs <= ssd_g, lhs, ssd_g)
-        sd_h = ctx.sub_degree("sd", h_idx)
+        sd_h = ctx.sd_below(h_idx)
         yield _res(
             ctx, "C8", f"H=#{h_idx}|sd-chain", sd_h <= sd_g, sd_h, sd_g,
             witnesses=() if sd_h <= sd_g else (f"H={h.bitstring()}",),
@@ -580,7 +574,7 @@ def _c13(ctx: _Context):
         for n in range(1, ctx.n_max + 1):
             e = n + 1
             cost = sum(lat[k].size ** e for k in dom)
-            if cost > ctx.tuple_budget:
+            if cost > degrees.TUPLE_BUDGET:
                 yield _not_applicable(
                     ctx, "C13",
                     f"skipped: {cost} tuple evaluations exceed the budget",
@@ -745,18 +739,13 @@ def _c20(ctx: _Context):
     )
 
 
-def _params(params: dict | None) -> tuple[int, int, int | None]:
-    """(n_max, tuple budget, order cap); BudgetExceeded if n_max is above
-    the depth cap of the iterated degrees, before any claim runs."""
-    params = params or {}
-    n_max = int(params.get("n_max", DEFAULT_N_MAX))
+def _check_n_max(n_max: int) -> None:
+    """ValueError for a negative ``n_max``, BudgetExceeded above the
+    depth cap of the iterated degrees; both before any claim runs."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be at least 0, got {n_max}")
     if n_max > MULTI_N_CAP:
         raise BudgetExceeded(f"n_max = {n_max} exceeds the cap {MULTI_N_CAP}")
-    return (
-        n_max,
-        int(params.get("tuple_budget", DEFAULT_TUPLE_BUDGET)),
-        params.get("order_cap"),
-    )
 
 
 def _run_one(claim_id: str, ctx: _Context) -> list[ClaimResult]:
@@ -766,44 +755,47 @@ def _run_one(claim_id: str, ctx: _Context) -> list[ClaimResult]:
         return [_not_applicable(ctx, claim_id, f"skipped: {exc}")]
 
 
-def run_claim(claim_id: str, group: Group, params: dict | None = None) -> list[ClaimResult]:
-    """Check one claim on one group, one result per instantiation."""
+def run_claim(
+    claim_id: str,
+    group: Group,
+    *,
+    n_max: int = DEFAULT_N_MAX,
+    order_cap: int | None = None,
+) -> list[ClaimResult]:
+    """Check one claim on one group, one result per instantiation, at
+    depths 1..``n_max``, with lattices enumerated under ``order_cap``."""
     if claim_id not in CLAIMS:
         raise ValueError(f"unknown claim id {claim_id!r}")
-    n_max, budget, cap = _params(params)
-    ctx = _Context(group, n_max, budget, cap)
-    return _run_one(claim_id, ctx)
+    _check_n_max(n_max)
+    return _run_one(claim_id, _Context(group, n_max, order_cap))
 
 
 def run_suite(
     groups: Iterable[Group],
     claim_filter: list[str] | None = None,
-    params: dict | None = None,
+    *,
+    n_max: int = DEFAULT_N_MAX,
+    order_cap: int | None = None,
 ) -> SuiteReport:
     """Run every (selected) claim on every group, in registry-then-group
-    order.  ``groups`` is iterated once: an iterator that hands out each
-    group on its turn, as the CLI's does, lets a finished group and its
-    kernel table be freed before the next group runs."""
+    order, with the settings of :func:`run_claim`.  ``groups`` is
+    iterated once: an iterator that hands out each group on its turn, as
+    the CLI's does, lets a finished group and its kernel table be freed
+    before the next group runs."""
     ids = list(CLAIMS) if claim_filter is None else list(claim_filter)
     for cid in ids:
         if cid not in CLAIMS:
             raise ValueError(f"unknown claim id {cid!r}")
-    n_max, budget, cap = _params(params)
+    _check_n_max(n_max)
     # one context (lattice and caches) alive at a time; results are
     # collected per claim, so the report keeps registry-then-group order
     per_claim: list[list[ClaimResult]] = [[] for _ in ids]
-    labels: list[str] = []
     for g in groups:
-        labels.append(g.label)
-        ctx = _Context(g, n_max, budget, cap)
+        ctx = _Context(g, n_max, order_cap)
         for found, cid in zip(per_claim, ids):
             found.extend(_run_one(cid, ctx))
         del ctx  # before the next group's lattice is enumerated
-    return SuiteReport(
-        results=tuple(r for found in per_claim for r in found),
-        group_labels=tuple(labels),
-        claim_ids=tuple(ids),
-    )
+    return SuiteReport(results=tuple(r for found in per_claim for r in found))
 
 
 def builtin_groups_up_to(max_order: int, *, cap: int | None = None) -> list[Group]:

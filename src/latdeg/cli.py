@@ -496,7 +496,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = claims.run_suite(
             _handed_out(groups),
             claim_filter=claim_filter,
-            params={"n_max": args.n_max, "order_cap": cap},
+            n_max=args.n_max,
+            order_cap=cap,
         )
     except ValueError as exc:
         return _failure(exc)

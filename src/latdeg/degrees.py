@@ -7,18 +7,22 @@ The degrees of subgroups read their group from the subgroups, or from
 the lattice they are taken in.  The one function that takes a group
 beside a subgroup is ``d_multi(g, n, within=K)``, whose ``within`` is
 optional; it refuses a ``K`` of another group.
+
+d_n and ssd_n count the same thing, tuples whose left-normed bracket
+is trivial, over elements and over lattice members.  Both hand their
+bracket table to the one fold,
+``_kernels.count_trivial_iterated_commutators``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from latdeg import _kernels as kernels
-from latdeg.groups import Group, Subgroup, bit_positions, same_group
+from latdeg.groups import Group, Subgroup, same_group
 from latdeg.lattice import Lattice
 
-DEFAULT_TUPLE_BUDGET = 10_000_000
+TUPLE_BUDGET = 10_000_000  # d_multi refuses, and C13 skips, more tuples
 MULTI_N_CAP = 4
 
 
@@ -39,21 +43,16 @@ def d_pair(h: Subgroup, k: Subgroup) -> Fraction:
     return Fraction(good, h.size * k.size)
 
 
-def d_multi(
-    g: Group,
-    n: int,
-    *,
-    within: Subgroup | None = None,
-    budget: int = DEFAULT_TUPLE_BUDGET,
-) -> Fraction:
+def d_multi(g: Group, n: int, *, within: Subgroup | None = None) -> Fraction:
     """Probability that the left-normed commutator of an (n+1)-tuple of
     elements is trivial.
 
-    The count folds over commutator values (as :func:`ssd_multi` folds
-    over subgroups), so it costs about |values| * |K| per bracket rather
-    than |K|^(n+1).  ``budget`` still bounds the |K|^(n+1) tuples the
-    degree ranges over, so the inputs that raise ``BudgetExceeded`` are
-    the same as under direct enumeration.
+    The count is the fold :func:`ssd_multi` runs over subgroups, here
+    over commutator values, so it costs about |values| * |K| per bracket
+    rather than |K|^(n+1).  ``TUPLE_BUDGET``, read at call time, still
+    bounds the |K|^(n+1) tuples the degree ranges over, so the inputs
+    that raise ``BudgetExceeded`` are the same as under direct
+    enumeration.
 
     ``within`` restricts the tuple entries to a subgroup of ``g`` (the
     commutator values then stay inside it).
@@ -64,12 +63,15 @@ def d_multi(
         raise ValueError("within is a subgroup of another group")
     size = within.size if within is not None else g.order
     tuples = size ** (n + 1)
-    if tuples > budget:
+    if tuples > TUPLE_BUDGET:
         raise BudgetExceeded(
-            f"{tuples} tuple evaluations exceed the budget of {budget}"
+            f"{tuples} tuple evaluations exceed the budget of {TUPLE_BUDGET}"
         )
     mask = within.mask if within is not None else (1 << g.order) - 1
-    good = kernels.count_trivial_iterated_commutators(g.ktab, n, mask)
+    ktab = g.ktab
+    good = kernels.count_trivial_iterated_commutators(
+        ktab.commutators(), ktab.centralizers(), mask, mask, n
+    )
     return Fraction(good, tuples)
 
 
@@ -98,29 +100,16 @@ def ssd_group(lat: Lattice) -> Fraction:
     return Fraction(sum(r.bit_count() for r in rows), len(lat) ** 2)
 
 
-@dataclass(frozen=True)
-class BracketTable:
-    """entries[i][j] is the lattice position of [L_i, L_j]."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i][j]
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-
-def bracket_table(lat: Lattice) -> BracketTable:
-    """All pairwise commutator subgroups as lattice positions.
+def bracket_table(lat: Lattice) -> tuple[tuple[int, ...], ...]:
+    """All pairwise commutator subgroups as lattice positions:
+    ``lat.brackets``, whose entry [i][j] is the position of [L_i, L_j].
 
     Each entry is computed as written (the normal closure of the
     generator commutators [x, y] with x from the row subgroup), without
     assuming symmetry; [A,B] = [B,A] holds group-theoretically and is
     asserted by the test suite instead.
     """
-    return BracketTable(lat.brackets)
+    return lat.brackets
 
 
 def ssd_multi(
@@ -135,11 +124,8 @@ def ssd_multi(
     group by default).
 
     The left-normed bracket is folded through the lattice bracket table
-    by dynamic programming over intermediate subgroup values, which
-    matches direct tuple enumeration exactly.  The members commuting
-    with a value bracket to the trivial member 0; where they are most
-    of the domain, they are counted at once from the value's
-    ``phi_rows`` row and only the rest are looked up in the table.
+    over intermediate subgroup values, which matches direct tuple
+    enumeration exactly; the trivial member is position 0.
 
     The fold's counts grow to about n log2 |L| bits, so depths above
     MULTI_N_CAP raise BudgetExceeded.
@@ -149,32 +135,11 @@ def ssd_multi(
     if n > MULTI_N_CAP:
         raise BudgetExceeded(f"n = {n} exceeds the cap {MULTI_N_CAP}")
     dom_mask = lat.down[lat.index(h)]
-    dom = bit_positions(dom_mask)
     if codomain is None:
         cod_mask = (1 << len(lat)) - 1
     else:
         cod_mask = lat.down[lat.index(codomain)]
-    table = bracket_table(lat).entries
-    rows = phi_rows(lat)
-    counts = {i: 1 for i in dom}
-    for _ in range(n - 1):
-        folded: dict[int, int] = {}
-        for state, c in counts.items():
-            commuting = rows[state] & dom_mask
-            n_commuting = commuting.bit_count()
-            # listing the other j costs more than a table lookup per j, so
-            # it only pays when most of the domain commutes with the state
-            if 2 * n_commuting > len(dom):
-                folded[0] = folded.get(0, 0) + c * n_commuting
-                js = bit_positions(dom_mask & ~commuting)
-            else:
-                js = dom
-            row = table[state]
-            for j in js:
-                t = row[j]
-                folded[t] = folded.get(t, 0) + c
-        counts = folded
-    numerator = sum(
-        c * (rows[state] & cod_mask).bit_count() for state, c in counts.items()
+    numerator = kernels.count_trivial_iterated_commutators(
+        bracket_table(lat), phi_rows(lat), dom_mask, cod_mask, n
     )
-    return Fraction(numerator, len(dom) ** n * cod_mask.bit_count())
+    return Fraction(numerator, dom_mask.bit_count() ** n * cod_mask.bit_count())

@@ -13,6 +13,7 @@ from latdeg import (
     characters,
     claims,
     cli,
+    degrees,
     enumerate_subgroups,
     make_cyclic,
     make_dihedral,
@@ -152,9 +153,7 @@ def test_c17_reports_xi_that_is_not_a_class_function(monkeypatch):
 def test_claim_caches_hold_one_entry_per_class_and_depth():
     # S(4) has 30 subgroups in 11 conjugacy classes; after every claim
     # has run, each class-keyed cache holds one value per class and depth
-    ctx = claims._Context(
-        make_symmetric(4), claims.DEFAULT_N_MAX, claims.DEFAULT_TUPLE_BUDGET, None
-    )
+    ctx = claims._Context(make_symmetric(4), claims.DEFAULT_N_MAX, None)
     for cid in claims.CLAIMS:
         claims._run_one(cid, ctx)
     lat = ctx.lattice
@@ -165,7 +164,8 @@ def test_claim_caches_hold_one_entry_per_class_and_depth():
         (c, n, diagonal) for c in classes for n in depths for diagonal in (False, True)
     }
     assert set(ctx._d_multi) == {(c, n) for c in classes for n in depths}
-    assert set(ctx._sub_degrees) == {(d, c) for d in ("ssd", "sd") for c in classes}
+    # ssd(L_i) is ssd_1(L_i, L_i), held under the (c, 1, True) keys above
+    assert set(ctx._sub_degrees) == classes
 
 
 def test_every_group_is_freed_by_reference_counting():
@@ -183,15 +183,40 @@ def test_every_group_is_freed_by_reference_counting():
     assert (len(refs), kept) == (43, [])
 
 
-def test_n_max_above_the_depth_cap_is_refused_before_any_group_runs(monkeypatch):
-    def no_context(*args):
-        raise AssertionError("a group ran")
+def _no_context(*args):
+    raise AssertionError("a group ran")
 
-    monkeypatch.setattr(claims, "_Context", no_context)
+
+def test_n_max_above_the_depth_cap_is_refused_before_any_group_runs(monkeypatch):
+    monkeypatch.setattr(claims, "_Context", _no_context)
     with pytest.raises(BudgetExceeded, match="cap 4"):
-        claims.run_suite([make_cyclic(4)], params={"n_max": 5})
+        claims.run_suite([make_cyclic(4)], n_max=5)
     with pytest.raises(BudgetExceeded, match="cap 4"):
-        claims.run_claim("C10", make_cyclic(4), {"n_max": 5})
+        claims.run_claim("C10", make_cyclic(4), n_max=5)
+
+
+def test_claim_settings_are_checked_keywords(monkeypatch):
+    # a misspelt setting, or one passed positionally, is an error rather
+    # than a silent default; a negative depth is refused before any
+    # group runs, as a depth above the cap is
+    monkeypatch.setattr(claims, "_Context", _no_context)
+    with pytest.raises(TypeError):
+        claims.run_claim("C10", make_cyclic(4), nmax=1)
+    with pytest.raises(TypeError):
+        claims.run_claim("C10", make_cyclic(4), {"nmax": 1})
+    with pytest.raises(TypeError):
+        claims.run_suite([make_cyclic(4)], None, {"n_max": 1})
+    with pytest.raises(ValueError, match="at least 0"):
+        claims.run_claim("C10", make_cyclic(4), n_max=-2)
+    with pytest.raises(ValueError, match="at least 0"):
+        claims.run_suite([make_cyclic(4)], n_max=-2)
+
+
+def test_n_max_sets_the_depths_checked():
+    # C10 on C(4), 3 subgroups: one result per subgroup and depth step
+    assert len(claims.run_claim("C10", make_cyclic(4), n_max=1)) == 0
+    assert len(claims.run_claim("C10", make_cyclic(4))) == 3 * 2
+    assert len(claims.run_claim("C10", make_cyclic(4), n_max=4)) == 3 * 3
 
 
 def test_c20_odd_modular():
@@ -220,8 +245,9 @@ def test_c4_q8_counterexample_is_reported():
     assert bad[0].witnesses
 
 
-def test_budget_skip_entries():
-    res = claims.run_claim("C13", make_symmetric(4), params={"tuple_budget": 100})
+def test_budget_skip_entries(monkeypatch):
+    monkeypatch.setattr(degrees, "TUPLE_BUDGET", 100)
+    res = claims.run_claim("C13", make_symmetric(4))
     skipped = [r for r in res if not r.applicable]
     assert skipped and all("skipped" in r.note for r in skipped)
 
@@ -265,7 +291,7 @@ def test_violation_inventory_on_builtins():
     this pins exactly which ones, as verified with exact arithmetic."""
     report = claims.run_suite(claims.builtin_groups_up_to(24))
     failing = {}
-    for r in report.violations():
+    for r in _fails(report.results):
         failing.setdefault(r.claim_id, set()).add(r.group_label)
     assert set(failing) == {"C3", "C4", "C5", "C8", "C10", "C11", "C16", "C20"}
     # the normal-subgroup lower bound and its abelian corollary fail on

@@ -38,7 +38,6 @@ from latdeg.groups import bit_positions, direct_product
 
 PUBLIC_API = [
     "BACKEND",
-    "BracketTable",
     "BudgetExceeded",
     "Claim",
     "ClaimResult",
