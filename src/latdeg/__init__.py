@@ -1,15 +1,11 @@
 """latdeg: exact commutativity degrees over subgroup lattices of small
-finite groups, with a claim-verification harness and CLI."""
+finite groups, with a claim-verification harness and CLI.
+
+The claim harness, ``latdeg.claims``, is imported on first use of one
+of its names here, so a run that computes degrees only never loads it.
+"""
 
 from latdeg.characters import class_count, equal_generator_invariance, ssd_cyclic, xi
-from latdeg.claims import (
-    Claim,
-    ClaimResult,
-    SuiteReport,
-    builtin_groups_up_to,
-    run_claim,
-    run_suite,
-)
 from latdeg.degrees import (
     BudgetExceeded,
     bracket_table,
@@ -82,3 +78,28 @@ __all__ = [
     "ssd_multi",
     "xi",
 ]
+
+# names of latdeg.claims, bound here on first access (PEP 562)
+_CLAIM_NAMES = frozenset(
+    {
+        "Claim",
+        "ClaimResult",
+        "SuiteReport",
+        "builtin_groups_up_to",
+        "run_claim",
+        "run_suite",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name not in _CLAIM_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from latdeg import claims
+
+    value = globals()[name] = getattr(claims, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _CLAIM_NAMES)

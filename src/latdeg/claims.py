@@ -13,13 +13,13 @@ the runner's job is to document exactly where.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from latdeg import characters, degrees
 from latdeg.arith import is_prime, sigma, tau
-from latdeg.degrees import MULTI_N_CAP, BudgetExceeded
+from latdeg.degrees import BudgetExceeded
 from latdeg.groups import (
     Group,
     OrderCapExceeded,
@@ -36,16 +36,14 @@ from latdeg.lattice import Lattice, enumerate_subgroups
 DEFAULT_N_MAX = 3
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     id: str
     kind: str  # equality | non-strict-inequality | strict-inequality | iff
     description: str
     applicability: str
 
 
-@dataclass(frozen=True, slots=True)
-class ClaimResult:
+class ClaimResult(NamedTuple):
     claim_id: str
     group_label: str
     instance: str
@@ -58,8 +56,7 @@ class ClaimResult:
     note: str | None = None
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     results: tuple[ClaimResult, ...]
 
     @property
@@ -739,15 +736,6 @@ def _c20(ctx: _Context):
     )
 
 
-def _check_n_max(n_max: int) -> None:
-    """ValueError for a negative ``n_max``, BudgetExceeded above the
-    depth cap of the iterated degrees; both before any claim runs."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be at least 0, got {n_max}")
-    if n_max > MULTI_N_CAP:
-        raise BudgetExceeded(f"n_max = {n_max} exceeds the cap {MULTI_N_CAP}")
-
-
 def _run_one(claim_id: str, ctx: _Context) -> list[ClaimResult]:
     try:
         return list(_RUNNERS[claim_id](ctx))
@@ -766,7 +754,7 @@ def run_claim(
     depths 1..``n_max``, with lattices enumerated under ``order_cap``."""
     if claim_id not in CLAIMS:
         raise ValueError(f"unknown claim id {claim_id!r}")
-    _check_n_max(n_max)
+    degrees.check_n_max(n_max, "n_max")
     return _run_one(claim_id, _Context(group, n_max, order_cap))
 
 
@@ -778,15 +766,20 @@ def run_suite(
     order_cap: int | None = None,
 ) -> SuiteReport:
     """Run every (selected) claim on every group, in registry-then-group
-    order, with the settings of :func:`run_claim`.  ``groups`` is
-    iterated once: an iterator that hands out each group on its turn, as
-    the CLI's does, lets a finished group and its kernel table be freed
-    before the next group runs."""
+    order, with the settings of :func:`run_claim`.  An unknown or
+    repeated id in ``claim_filter`` raises ValueError before any group
+    runs.  ``groups`` is iterated once: an iterator that hands out each
+    group on its turn, as the CLI's does, lets a finished group and its
+    kernel table be freed before the next group runs."""
     ids = list(CLAIMS) if claim_filter is None else list(claim_filter)
-    for cid in ids:
+    for k, cid in enumerate(ids):
         if cid not in CLAIMS:
             raise ValueError(f"unknown claim id {cid!r}")
-    _check_n_max(n_max)
+        if cid in ids[:k]:
+            raise ValueError(f"claim id {cid!r} is selected twice")
+    degrees.check_n_max(n_max, "n_max")
+    if not ids:  # no group's lattice is needed
+        return SuiteReport(results=())
     # one context (lattice and caches) alive at a time; results are
     # collected per claim, so the report keeps registry-then-group order
     per_claim: list[list[ClaimResult]] = [[] for _ in ids]

@@ -34,12 +34,12 @@ import os
 import re
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
+from typing import TYPE_CHECKING, NamedTuple
 
-from latdeg import characters, claims, degrees
+from latdeg import characters, degrees
 from latdeg.degrees import BudgetExceeded
 from latdeg.groups import (
     Group,
@@ -53,6 +53,9 @@ from latdeg.groups import (
     order_cap,
 )
 from latdeg.lattice import enumerate_subgroups
+
+if TYPE_CHECKING:
+    from latdeg.claims import ClaimResult
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
@@ -71,8 +74,7 @@ class GroupSpecError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     family: str
     params: tuple[int, ...]
 
@@ -83,8 +85,7 @@ class Atom:
         return f"{self.family}({','.join(str(p) for p in self.params)})"
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     atoms: tuple[Atom, ...]
 
     @property
@@ -302,7 +303,7 @@ def _degrees_csv(entries: Iterable[tuple], n_max: int) -> Iterator[str]:
     )
 
 
-def _verify_record(r: claims.ClaimResult) -> tuple:
+def _verify_record(r: ClaimResult) -> tuple:
     """A claim result as a report record, its two sides flattened."""
     return (
         r.claim_id,
@@ -370,12 +371,7 @@ def _failure(exc: ValueError) -> int:
 def _settings(args: argparse.Namespace) -> int:
     """Effective order cap; ValueError on a bad --n-max or cap setting,
     before any group is built."""
-    if args.n_max < 0:
-        raise ValueError(f"--n-max must be at least 0, got {args.n_max}")
-    if args.n_max > degrees.MULTI_N_CAP:
-        raise BudgetExceeded(
-            f"--n-max must be at most {degrees.MULTI_N_CAP}, got {args.n_max}"
-        )
+    degrees.check_n_max(args.n_max, "--n-max")
     return order_cap(args.order_cap)
 
 
@@ -484,12 +480,19 @@ def _handed_out(items: list) -> Iterator:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # the claim registry loads here only, so a degrees run never compiles it
+    from latdeg import claims
+
     claim_filter = None
-    if args.claims:
+    if args.claims is not None:
         claim_filter = [c.strip() for c in args.claims.split(",") if c.strip()]
     try:
         cap = _settings(args)
         if args.all_up_to is not None:
+            if args.all_up_to < 1:
+                raise ValueError(
+                    f"--all-up-to must be at least 1, got {args.all_up_to}"
+                )
             groups = claims.builtin_groups_up_to(args.all_up_to, cap=cap)
         else:
             groups = [parse_group_spec(text).build(cap) for text in args.group]

@@ -31,6 +31,15 @@ class BudgetExceeded(ValueError):
     than its budget allows."""
 
 
+def check_n_max(n_max: int, name: str) -> None:
+    """ValueError for a negative depth setting ``n_max``, BudgetExceeded
+    above MULTI_N_CAP; ``name`` is the setting the message names."""
+    if n_max < 0:
+        raise ValueError(f"{name} must be at least 0, got {n_max}")
+    if n_max > MULTI_N_CAP:
+        raise BudgetExceeded(f"{name} must be at most {MULTI_N_CAP}, got {n_max}")
+
+
 def d_group(g: Group) -> Fraction:
     """Probability that an ordered pair of elements commutes."""
     n = g.order

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from latdeg import _kernels as kernels
@@ -59,20 +58,41 @@ def _check_cap(order: int, cap: int | None, what: str) -> None:
         raise OrderCapExceeded(f"{what} has order {order}, above the cap {limit}")
 
 
-@dataclass(frozen=True)
 class Subgroup:
-    """Membership bitmask over the element indices of ``group``."""
+    """Membership bitmask over the element indices of ``group``.
 
-    mask: int
-    group: "Group"
-    size: int = field(init=False, compare=False, repr=False)
+    Immutable; two subgroups are equal when they have the same mask in
+    the same group.
+    """
 
-    def __post_init__(self):
-        if not self.mask & 1:
+    __slots__ = ("mask", "group", "size")
+
+    def __init__(self, mask: int, group: Group):
+        if not mask & 1:
             raise ValueError("subgroup mask must contain the identity (bit 0)")
-        if self.mask >> self.group.order:
+        if mask >> group.order:
             raise ValueError("subgroup mask has bits outside its group")
-        object.__setattr__(self, "size", self.mask.bit_count())
+        init = object.__setattr__
+        init(self, "mask", mask)
+        init(self, "group", group)
+        init(self, "size", mask.bit_count())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a Subgroup")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a Subgroup")
+
+    def __eq__(self, other):
+        if other.__class__ is not Subgroup:
+            return NotImplemented
+        return self.mask == other.mask and self.group is other.group
+
+    def __hash__(self) -> int:
+        return hash((self.mask, self.group))
+
+    def __repr__(self) -> str:
+        return f"Subgroup(mask={self.mask!r}, group={self.group!r})"
 
     def members(self) -> list[int]:
         return bit_positions(self.mask)

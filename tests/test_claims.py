@@ -189,10 +189,33 @@ def _no_context(*args):
 
 def test_n_max_above_the_depth_cap_is_refused_before_any_group_runs(monkeypatch):
     monkeypatch.setattr(claims, "_Context", _no_context)
-    with pytest.raises(BudgetExceeded, match="cap 4"):
+    with pytest.raises(BudgetExceeded, match="n_max must be at most 4, got 5"):
         claims.run_suite([make_cyclic(4)], n_max=5)
-    with pytest.raises(BudgetExceeded, match="cap 4"):
+    with pytest.raises(BudgetExceeded, match="n_max must be at most 4, got 5"):
         claims.run_claim("C10", make_cyclic(4), n_max=5)
+
+
+def test_a_claim_selected_twice_is_refused_before_any_group_runs(monkeypatch):
+    # a repeated id would report each of its results twice
+    monkeypatch.setattr(claims, "_Context", _no_context)
+    with pytest.raises(ValueError, match="'C1' is selected twice"):
+        claims.run_suite([make_cyclic(4)], ["C1", "C2", "C1"])
+
+
+def test_claim_results_are_immutable_values():
+    r = claims.ClaimResult(
+        claim_id="C1", group_label="S(3)", instance="", applicable=True,
+        holds=True, lhs=Fraction(1, 2), rhs=1,
+    )
+    assert (r.strict_observed, r.witnesses, r.note) == (None, (), None)
+    same = claims.ClaimResult("C1", "S(3)", "", True, True, Fraction(1, 2), 1)
+    assert r == same and hash(r) == hash(same)
+    other = claims.ClaimResult("C1", "S(3)", "", True, True, Fraction(1, 2), 1, note="")
+    assert r != other
+    with pytest.raises(AttributeError):
+        r.holds = False
+    with pytest.raises(TypeError):
+        claims.ClaimResult("C1", "S(3)", "", True, True, Fraction(1, 2))
 
 
 def test_claim_settings_are_checked_keywords(monkeypatch):

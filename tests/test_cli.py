@@ -26,6 +26,10 @@ def run_cli(argv):
     return code, buf.getvalue()
 
 
+def _no_group(*args):
+    raise AssertionError("a group ran")
+
+
 def test_parse_atoms():
     assert cli.parse_group_spec("C(6)").label == "C(6)"
     assert cli.parse_group_spec("  d(3)x C(5) ").label == "D(3) x C(5)"
@@ -266,6 +270,40 @@ def test_empty_verify_report_is_an_empty_list():
     assert run_cli(["verify", "-g", "C(2)", "--claims", ","]) == (0, "[]\n")
 
 
+@pytest.mark.parametrize("selected", ["", ","])
+def test_empty_claims_option_runs_no_claim(selected, monkeypatch):
+    # an empty filter selects nothing, not every claim, and so needs no
+    # group's lattice
+    monkeypatch.setattr(claims, "_Context", _no_group)
+    argv = ["verify", "-g", "S(3)", "--claims", selected]
+    assert run_cli(argv) == (0, "[]\n")
+
+
+def test_claim_named_twice_exits_2(capsys):
+    assert run_cli(["verify", "-g", "C(4)", "--claims", "C1, C1"]) == (2, "")
+    assert "'C1' is selected twice" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("order", ["0", "-5"])
+def test_all_up_to_below_1_exits_2(order, monkeypatch, capsys):
+    monkeypatch.setattr(claims, "_Context", _no_group)
+    assert run_cli(["verify", "--all-up-to", order]) == (2, "")
+    assert f"--all-up-to must be at least 1, got {order}" in _one_line_error(capsys)
+
+
+def test_equal_specs_compare_equal():
+    spec = cli.parse_group_spec("d(3)x C(5)")
+    same = cli.parse_group_spec(" D( 3 ) X c(5) ")
+    assert spec == same and hash(spec) == hash(same)
+    assert spec.atoms == (cli.Atom("D", (3,)), cli.Atom("C", (5,)))
+    assert spec != cli.parse_group_spec("C(5) x D(3)")
+    assert cli.parse_group_spec("M(3,3)") != cli.parse_group_spec("M(3,4)")
+    with pytest.raises(AttributeError):
+        spec.atoms = ()
+    with pytest.raises(AttributeError):
+        spec.atoms[0].family = "C"
+
+
 def test_out_file(tmp_path):
     target = tmp_path / "report.json"
     code, out = run_cli(["degrees", "-g", "C(6)", "--out", str(target)])
@@ -322,10 +360,7 @@ def test_unwritable_out_exits_2(argv, tmp_path, capsys):
 
 
 def test_verify_above_the_cap_fails_before_any_group_runs(monkeypatch, capsys):
-    def no_context(*args):
-        raise AssertionError("a group ran")
-
-    monkeypatch.setattr(claims, "_Context", no_context)
+    monkeypatch.setattr(claims, "_Context", _no_group)
     assert run_cli(["verify", "--all-up-to", "300"]) == (3, "")
     assert "above the cap 200" in _one_line_error(capsys)
 
@@ -545,3 +580,54 @@ def test_closed_stdout_exits_2():
         timeout=120,
     )
     _assert_cannot_write_stdout(proc.returncode, proc.stderr)
+
+
+# run in a fresh interpreter: the modules that one CLI call adds
+_IMPORTS_OF_ONE_RUN = """
+import io, json, sys
+from contextlib import redirect_stdout
+before = set(sys.modules)
+from latdeg import cli
+with redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads_claims",
+    [
+        (["degrees", "-g", "S(3)"], False),
+        (["verify", "-g", "S(3)", "--claims", "C1"], True),
+    ],
+)
+def test_only_verify_loads_the_claim_harness(argv, loads_claims):
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORTS_OF_ONE_RUN, *argv],
+        capture_output=True, text=True, env=_cli_env(), timeout=120,
+    )
+    code, added = json.loads(done.stdout)
+    assert code == 0
+    assert ("latdeg.claims" in added) is loads_claims
+    assert "dataclasses" not in added
+
+
+_STAR_IMPORT = """
+import sys
+import latdeg
+assert "latdeg.claims" not in sys.modules
+names = {}
+exec("from latdeg import *", names)
+unbound = [n for n in latdeg.__all__ if names.get(n) is not getattr(latdeg, n)]
+unlisted = sorted(set(latdeg.__all__) - set(dir(latdeg)))
+print(unbound, unlisted, hasattr(latdeg, "no_such_name"))
+"""
+
+
+def test_every_public_name_resolves_on_first_use():
+    # the claim names are bound on first access; a star import binds them
+    done = subprocess.run(
+        [sys.executable, "-c", _STAR_IMPORT],
+        capture_output=True, text=True, env=_cli_env(), timeout=120,
+    )
+    assert done.stdout == "[] [] False\n", done.stderr

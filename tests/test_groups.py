@@ -5,6 +5,7 @@ import pytest
 import oracles
 from latdeg import (
     OrderCapExceeded,
+    Subgroup,
     class_count,
     d_group,
     direct_product,
@@ -205,3 +206,25 @@ def test_conjugacy_matches_oracle():
     for g in (make_symmetric(4), make_modular(3, 3)):
         ours = {frozenset(c) for c in g.conjugacy_classes()}
         assert ours == set(oracles.conjugacy_classes(g.table))
+
+
+def test_subgroups_are_equal_by_mask_and_group_and_immutable():
+    # C(6) and D(3) have the same order, so one mask names a subset of
+    # each; only the group tells the two subgroups apart
+    c6, d3 = make_cyclic(6), make_dihedral(3)
+    h = c6.closure([3])
+    assert (h.mask, h.group, h.size) == (0b1001, c6, 2)
+    assert h == Subgroup(0b1001, c6) and hash(h) == hash(Subgroup(0b1001, c6))
+    assert h != Subgroup(0b1001, d3) and h != c6.full_subgroup()
+    assert h != 0b1001
+    assert len({h, Subgroup(0b1001, c6), Subgroup(0b1001, d3)}) == 2
+    for name, value in (("mask", 1), ("group", d3), ("size", 1), ("label", "")):
+        with pytest.raises(AttributeError):
+            setattr(h, name, value)
+    with pytest.raises(AttributeError):
+        del h.mask
+    assert (h.mask, h.group, h.size) == (0b1001, c6, 2)
+    with pytest.raises(ValueError, match="identity"):
+        Subgroup(0b1000, c6)
+    with pytest.raises(ValueError, match="outside its group"):
+        Subgroup(1 | 1 << 6, c6)
