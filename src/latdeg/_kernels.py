@@ -32,7 +32,10 @@ class Table:
     per-element centralizers, C_G(H) per subgroup, the generators and
     elements recorded for every subgroup a closure returned, and the
     closures the commutator kernel asked for, keyed by their generating
-    mask."""
+    mask.
+
+    ``rows`` is kept as given, not copied: a group's table is shared
+    with its kernels, so callers must not mutate it."""
 
     __slots__ = (
         "n", "rows", "inv", "_commutators",
@@ -41,11 +44,8 @@ class Table:
 
     def __init__(self, rows):
         self.n = len(rows)
-        self.rows = [list(r) for r in rows]
-        inv = [0] * self.n
-        for a, row in enumerate(self.rows):
-            inv[a] = row.index(0)
-        self.inv = inv
+        self.rows = rows
+        self.inv = [row.index(0) for row in rows]
         self._commutators: list[list[int]] | None = None
         self._centralizers: list[int] | None = None
         self._group_centralizer: dict[int, int] = {}
@@ -110,6 +110,9 @@ class Table:
 
 
 def prepare_table(rows) -> Table:
+    """The kernels' handle on the table ``rows``: ``rows[a][b]`` is the
+    index of a*b, element 0 the identity.  The rows are kept, not copied;
+    do not mutate them."""
     return Table(rows)
 
 

@@ -25,11 +25,8 @@ from latdeg.groups import (
     OrderCapExceeded,
     Subgroup,
     bit_positions,
-    make_cyclic,
-    make_dihedral,
-    make_modular,
-    make_quaternion,
-    make_symmetric,
+    builtin_families_up_to,
+    make_family,
 )
 from latdeg.lattice import Lattice, enumerate_subgroups
 
@@ -794,26 +791,4 @@ def run_suite(
 def builtin_groups_up_to(max_order: int, *, cap: int | None = None) -> list[Group]:
     """All built-in family instances of order <= max_order, sorted by
     (order, label)."""
-    groups: list[Group] = []
-    for n in range(1, max_order + 1):
-        groups.append(make_cyclic(n, cap=cap))
-    for n in range(1, max_order // 2 + 1):
-        groups.append(make_dihedral(n, cap=cap))
-    fact = 1
-    for n in range(1, 6):
-        fact *= n
-        if fact > max_order:
-            break
-        groups.append(make_symmetric(n, cap=cap))
-    if max_order >= 8:
-        groups.append(make_quaternion(cap=cap))
-    p = 2
-    while p**3 <= max_order:
-        if is_prime(p):
-            m = 3
-            while p**m <= max_order:
-                groups.append(make_modular(p, m, cap=cap))
-                m += 1
-        p += 1
-    groups.sort(key=lambda g: (g.order, g.label))
-    return groups
+    return [make_family(f, cap=cap) for f in builtin_families_up_to(max_order, cap=cap)]

@@ -44,12 +44,12 @@ from latdeg.degrees import BudgetExceeded
 from latdeg.groups import (
     Group,
     OrderCapExceeded,
+    builtin_families_up_to,
+    check_cap,
+    check_family,
     direct_product,
-    make_cyclic,
-    make_dihedral,
-    make_modular,
-    make_quaternion,
-    make_symmetric,
+    family_label,
+    make_family,
     order_cap,
 )
 from latdeg.lattice import enumerate_subgroups
@@ -79,10 +79,13 @@ class Atom(NamedTuple):
     params: tuple[int, ...]
 
     @property
+    def instance(self) -> tuple:
+        """The instance as a group's ``family`` holds it, e.g. ("M", 3, 3)."""
+        return (self.family, *self.params)
+
+    @property
     def label(self) -> str:
-        if self.family == "Q8":
-            return "Q8"
-        return f"{self.family}({','.join(str(p) for p in self.params)})"
+        return family_label(self.instance)
 
 
 class GroupSpec(NamedTuple):
@@ -93,23 +96,22 @@ class GroupSpec(NamedTuple):
         return " x ".join(a.label for a in self.atoms)
 
     def build(self, cap: int | None = None) -> Group:
-        built = [_build_atom(a, cap) for a in self.atoms]
+        built = [make_family(a.instance, cap=cap) for a in self.atoms]
         group = built[0]
         for extra in built[1:]:
             group = direct_product(group, extra, cap=cap)
         return group
 
-
-def _build_atom(atom: Atom, cap: int | None) -> Group:
-    if atom.family == "C":
-        return make_cyclic(atom.params[0], cap=cap)
-    if atom.family == "D":
-        return make_dihedral(atom.params[0], cap=cap)
-    if atom.family == "S":
-        return make_symmetric(atom.params[0], cap=cap)
-    if atom.family == "M":
-        return make_modular(atom.params[0], atom.params[1], cap=cap)
-    return make_quaternion(cap=cap)
+    def check(self, cap: int | None = None) -> GroupSpec:
+        """This spec, once it has raised what :meth:`build` would raise
+        (a parameter outside its family, an order above the cap), in the
+        same order; no table is built."""
+        orders = [check_family(a.instance, cap) for a in self.atoms]
+        order = orders[0]
+        for k in range(1, len(orders)):
+            order *= orders[k]
+            check_cap(order, cap, " x ".join(a.label for a in self.atoms[: k + 1]))
+        return self
 
 
 def parse_group_spec(text: str) -> GroupSpec:
@@ -471,14 +473,6 @@ def cmd_degrees(args: argparse.Namespace) -> int:
     return _emit(_degrees_csv(entries, args.n_max), args.out)
 
 
-def _handed_out(items: list) -> Iterator:
-    """The items of ``items`` in order, each removed from the list as it
-    is handed out, so that the list holds no item after its turn."""
-    items.reverse()
-    while items:
-        yield items.pop()
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     # the claim registry loads here only, so a degrees run never compiles it
     from latdeg import claims
@@ -493,11 +487,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 raise ValueError(
                     f"--all-up-to must be at least 1, got {args.all_up_to}"
                 )
-            groups = claims.builtin_groups_up_to(args.all_up_to, cap=cap)
+            specs = [
+                GroupSpec((Atom(family[0], family[1:]),))
+                for family in builtin_families_up_to(args.all_up_to, cap=cap)
+            ]
         else:
-            groups = [parse_group_spec(text).build(cap) for text in args.group]
+            specs = [parse_group_spec(text).check(cap) for text in args.group]
+        # every group is checked before any is built; each is built on its
+        # turn, after run_suite has checked the claim ids, and is freed
+        # after it, so an empty selection builds no table
         report = claims.run_suite(
-            _handed_out(groups),
+            (spec.build(cap) for spec in specs),
             claim_filter=claim_filter,
             n_max=args.n_max,
             order_cap=cap,

@@ -12,6 +12,8 @@ group from them.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import os
 from typing import Iterable, Sequence
 
@@ -52,10 +54,110 @@ def order_cap(cap: int | None = None) -> int:
     return value
 
 
-def _check_cap(order: int, cap: int | None, what: str) -> None:
+def check_cap(order: int, cap: int | None, what: str) -> None:
+    """OrderCapExceeded, naming ``what``, if ``order`` is above the
+    effective cap (see :func:`order_cap`)."""
     limit = order_cap(cap)
     if order > limit:
         raise OrderCapExceeded(f"{what} has order {order}, above the cap {limit}")
+
+
+def family_order(family: tuple) -> int:
+    """Order of the built-in family instance ``family``, given as a
+    group's ``family`` holds it: ("C", n), ("D", n), ("S", n), ("Q8",) or
+    ("M", p, m).  ValueError if the parameters are outside the family;
+    every family constructor checks its parameters here."""
+    kind, *params = family
+    if kind == "C":
+        (n,) = params
+        if n < 1:
+            raise ValueError(f"cyclic order must be positive, got {n}")
+        return n
+    if kind == "D":
+        (n,) = params
+        if n < 1:
+            raise ValueError(f"dihedral parameter must be positive, got {n}")
+        return 2 * n
+    if kind == "S":
+        (n,) = params
+        if not 1 <= n <= 5:
+            raise ValueError(f"symmetric group parameter must be in 1..5, got {n}")
+        return math.factorial(n)
+    if kind == "M":
+        p, m = params
+        if not is_prime(p):
+            raise ValueError(f"modular group parameter p must be prime, got {p}")
+        if m < 3:
+            raise ValueError(f"modular group parameter m must be at least 3, got {m}")
+        return p**m
+    if kind == "Q8" and not params:
+        return 8
+    raise ValueError(f"unknown group family {family!r}")
+
+
+def family_label(family: tuple) -> str:
+    """Label of the built-in family instance ``family``: C(6), M(3,3), Q8."""
+    kind, *params = family
+    return f"{kind}({','.join(map(str, params))})" if params else kind
+
+
+def check_family(family: tuple, cap: int | None = None) -> int:
+    """Order of the built-in family instance ``family``, after the checks
+    its constructor makes before it builds a table: ValueError for
+    parameters outside the family, OrderCapExceeded above the cap."""
+    order = family_order(family)
+    check_cap(order, cap, family_label(family))
+    return order
+
+
+def make_family(family: tuple, *, cap: int | None = None) -> Group:
+    """The built-in family instance ``family`` (see :func:`family_order`)."""
+    kind, *params = family
+    if kind == "C":
+        return make_cyclic(*params, cap=cap)
+    if kind == "D":
+        return make_dihedral(*params, cap=cap)
+    if kind == "S":
+        return make_symmetric(*params, cap=cap)
+    if kind == "M":
+        return make_modular(*params, cap=cap)
+    if kind == "Q8" and not params:
+        return make_quaternion(cap=cap)
+    raise ValueError(f"unknown group family {family!r}")
+
+
+def builtin_families_up_to(max_order: int, *, cap: int | None = None) -> list[tuple]:
+    """The ``family`` of every built-in instance of order <= max_order,
+    sorted by (order, label).
+
+    Above the order cap it raises what building them in that order
+    raises first: every order has its cyclic group, and C sorts first
+    among the labels of an order, so that is C(cap + 1).  Nothing is
+    listed before, so a huge max_order costs nothing.
+    """
+    limit = order_cap(cap)
+    if max_order > limit:
+        check_cap(limit + 1, cap, f"C({limit + 1})")
+    families: list[tuple] = [("C", n) for n in range(1, max_order + 1)]
+    families += [("D", n) for n in range(1, max_order // 2 + 1)]
+    fact = 1
+    for n in range(1, 6):
+        fact *= n
+        if fact > max_order:
+            break
+        families.append(("S", n))
+    if max_order >= 8:
+        families.append(("Q8",))
+    p = 2
+    while p**3 <= max_order:
+        if is_prime(p):
+            m = 3
+            while p**m <= max_order:
+                families.append(("M", p, m))
+                m += 1
+        p += 1
+    families.sort(key=lambda f: (family_order(f), family_label(f)))
+    return families
 
 
 class Subgroup:
@@ -120,8 +222,55 @@ def same_group(h: Subgroup, k: Subgroup) -> Group:
     return h.group
 
 
+def _raise_non_integer(rows: tuple[tuple, ...]) -> None:
+    """Raise ValueError for the first entry of ``rows`` that is not an
+    integer (see :class:`Group`)."""
+    for a, row in enumerate(rows):
+        for b, x in enumerate(row):
+            try:
+                operator.index(x)
+            except TypeError:
+                raise ValueError(
+                    f"table entry {x!r} in row {a}, column {b} is not an integer"
+                ) from None
+
+
+def _raise_first_fault(rows: tuple[tuple[int, ...], ...]) -> None:
+    """Raise ValueError for the first fault of a table that breaks the
+    Latin-square or identity laws: rows in order (length, entries in
+    range, a permutation), then columns, then element 0."""
+    n = len(rows)
+    if n == 0:
+        raise ValueError("a group has at least the identity element")
+    full = (1 << n) - 1
+    for a, row in enumerate(rows):
+        if len(row) != n:
+            raise ValueError(f"table row {a} has length {len(row)}, expected {n}")
+        seen = 0
+        for v in row:
+            if not 0 <= v < n:
+                raise ValueError(f"table entry {v} out of range 0..{n - 1}")
+            seen |= 1 << v
+        if seen != full:
+            raise ValueError(f"table row {a} is not a permutation")
+    for b in range(n):
+        seen = 0
+        for a in range(n):
+            seen |= 1 << rows[a][b]
+        if seen != full:
+            raise ValueError(f"table column {b} is not a permutation")
+    raise ValueError("element 0 is not a two-sided identity")
+
+
 class Group:
-    """Immutable finite group given by its multiplication table."""
+    """Immutable finite group given by its multiplication table.
+
+    ``table[a][b]`` is the index of a*b.  The constructor checks that
+    every entry is an integer, converted as a list index is (so 1.9 and
+    "1" are refused), that each row and each column is a permutation of
+    the indices, and that element 0 is a two-sided identity; ValueError
+    names the first fault.  Associativity is left to :meth:`validate`.
+    """
 
     def __init__(
         self,
@@ -131,36 +280,34 @@ class Group:
         family: tuple | None = None,
         factors: tuple | None = None,
     ):
-        rows = tuple(tuple(int(x) for x in row) for row in table)
+        rows = tuple(map(tuple, table))
+        try:
+            rows = tuple(map(tuple, map(map, itertools.repeat(operator.index), rows)))
+        except TypeError:
+            _raise_non_integer(rows)
+            raise
         n = len(rows)
-        if n == 0:
-            raise ValueError("a group has at least the identity element")
-        full = (1 << n) - 1
-        for a, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError(f"table row {a} has length {len(row)}, expected {n}")
-            seen = 0
-            for v in row:
-                if not 0 <= v < n:
-                    raise ValueError(f"table entry {v} out of range 0..{n - 1}")
-                seen |= 1 << v
-            if seen != full:
-                raise ValueError(f"table row {a} is not a permutation")
-        for b in range(n):
-            seen = 0
-            for a in range(n):
-                seen |= 1 << rows[a][b]
-            if seen != full:
-                raise ValueError(f"table column {b} is not a permutation")
-        for a in range(n):
-            if rows[0][a] != a or rows[a][0] != a:
-                raise ValueError("element 0 is not a two-sided identity")
+        ids = tuple(range(n))
+        full = set(ids)
+        # the Latin-square and identity laws at C speed: each row and each
+        # column compared as a set, row 0 and column 0 with the indices; a
+        # table that fails is scanned again for its first fault
+        if not (
+            n
+            and all(map(n.__eq__, map(len, rows)))
+            and all(map(full.__eq__, map(set, rows)))
+        ):
+            _raise_first_fault(rows)
+        cols = list(zip(*rows))
+        if not (
+            all(map(full.__eq__, map(set, cols))) and rows[0] == cols[0] == ids
+        ):
+            _raise_first_fault(rows)
         self.order = n
         self.table = rows
         self.label = label
         self.family = family
         self.factors = factors
-        self._inv = tuple(row.index(0) for row in rows)
         self._ktab = None
         self._abelian: bool | None = None
         self._classes: tuple[tuple[int, ...], ...] | None = None
@@ -171,7 +318,8 @@ class Group:
 
     @property
     def ktab(self):
-        """Kernel-prepared table, built once on first use."""
+        """Kernel-prepared table, built once on first use; it shares the
+        rows of ``table`` and holds the group's one list of inverses."""
         if self._ktab is None:
             self._ktab = kernels.prepare_table(self.table)
         return self._ktab
@@ -181,8 +329,8 @@ class Group:
 
     def commutator(self, x: int, y: int) -> int:
         """x^-1 * y^-1 * x * y."""
-        t = self.table
-        return t[t[t[self._inv[x]][self._inv[y]]][x]][y]
+        t, inv = self.table, self.ktab.inv
+        return t[t[t[inv[x]][inv[y]]][x]][y]
 
     def order_of(self, a: int) -> int:
         k, x = 1, a
@@ -262,17 +410,22 @@ class Group:
         """
         if not kernels.is_associative(self.ktab):
             raise ValueError(f"{self.label}: table is not associative")
+        inv = self.ktab.inv
         for a in range(self.order):
-            if self.table[a][self._inv[a]] != 0 or self.table[self._inv[a]][a] != 0:
+            if self.table[a][inv[a]] != 0 or self.table[inv[a]][a] != 0:
                 raise ValueError(f"{self.label}: inverse of {a} is wrong")
+
+
+def _rotated(block: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """``block`` rotated left by ``k``, 0 <= k < len(block)."""
+    return block[k:] + block[:k]
 
 
 def make_cyclic(n: int, *, cap: int | None = None) -> Group:
     """Cyclic group C_n with table (a+b) mod n."""
-    if n < 1:
-        raise ValueError(f"cyclic order must be positive, got {n}")
-    _check_cap(n, cap, f"C({n})")
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    check_family(("C", n), cap)
+    ids = tuple(range(n))
+    table = [ids[a:] + ids[:a] for a in ids]
     return Group(table, f"C({n})", family=("C", n))
 
 
@@ -282,18 +435,15 @@ def make_dihedral(n: int, *, cap: int | None = None) -> Group:
     Element s*n + r stands for x^s y^r.  n = 1 gives C2, n = 2 the
     Klein four-group; the group is nonabelian for n >= 3.
     """
-    if n < 1:
-        raise ValueError(f"dihedral parameter must be positive, got {n}")
-    _check_cap(2 * n, cap, f"D({n})")
-    size = 2 * n
-    table = [[0] * size for _ in range(size)]
-    for s1 in (0, 1):
-        for r1 in range(n):
-            for s2 in (0, 1):
-                for r2 in range(n):
-                    s = (s1 + s2) % 2
-                    r = (r1 * (-1 if s2 else 1) + r2) % n
-                    table[s1 * n + r1][s2 * n + r2] = s * n + r
+    check_family(("D", n), cap)
+    # x^s y^r times y^r2 is x^s y^(r + r2), times x y^r2 is x^(1-s) y^(r2 - r):
+    # row s*n + r is block s rotated by r, then block 1-s rotated by -r
+    blocks = (tuple(range(n)), tuple(range(n, 2 * n)))
+    table = [
+        _rotated(blocks[s], r) + _rotated(blocks[1 - s], -r % n)
+        for s in (0, 1)
+        for r in range(n)
+    ]
     return Group(table, f"D({n})", family=("D", n))
 
 
@@ -305,32 +455,30 @@ def make_modular(p: int, m: int, *, cap: int | None = None) -> Group:
     group (x^(2+1) = x^-1); it is accepted because the construction is
     well defined there.
     """
-    if not is_prime(p):
-        raise ValueError(f"modular group parameter p must be prime, got {p}")
-    if m < 3:
-        raise ValueError(f"modular group parameter m must be at least 3, got {m}")
-    order = p**m
-    _check_cap(order, cap, f"M({p},{m})")
+    check_family(("M", p, m), cap)
     q = p ** (m - 1)
     t = p ** (m - 2) + 1
     tpow = [1] * p
     for i in range(1, p):
         tpow[i] = tpow[i - 1] * t % q
-    table = [[0] * order for _ in range(order)]
-    for i1 in range(p):
-        for j1 in range(q):
-            row = table[i1 * q + j1]
-            for i2 in range(p):
-                shifted = j1 * tpow[i2] % q
-                base = (i1 + i2) % p * q
-                for j2 in range(q):
-                    row[i2 * q + j2] = base + (shifted + j2) % q
+    # element i*q + j is y^i x^j; row i1*q + j1 is, for each i2, block
+    # i1 + i2 (mod p) rotated by j1 * t^i2 (mod q)
+    blocks = [tuple(range(i * q, i * q + q)) for i in range(p)]
+    table = [
+        tuple(
+            itertools.chain.from_iterable(
+                _rotated(blocks[(i1 + i2) % p], j1 * tpow[i2] % q) for i2 in range(p)
+            )
+        )
+        for i1 in range(p)
+        for j1 in range(q)
+    ]
     return Group(table, f"M({p},{m})", family=("M", p, m))
 
 
 def make_quaternion(*, cap: int | None = None) -> Group:
     """Quaternion group Q8: <a,b | a^4 = 1, b^2 = a^2, b^-1 a b = a^-1>."""
-    _check_cap(8, cap, "Q8")
+    check_family(("Q8",), cap)
     table = [[0] * 8 for _ in range(8)]
     for s1 in (0, 1):
         for r1 in range(4):
@@ -346,17 +494,26 @@ def make_quaternion(*, cap: int | None = None) -> Group:
 
 def make_symmetric(n: int, *, cap: int | None = None) -> Group:
     """Symmetric group S_n on permutation tuples, 1 <= n <= 5."""
-    if not 1 <= n <= 5:
-        raise ValueError(f"symmetric group parameter must be in 1..5, got {n}")
-    import math
-
-    order = math.factorial(n)
-    _check_cap(order, cap, f"S({n})")
+    order = check_family(("S", n), cap)
     perms = list(itertools.permutations(range(n)))  # identity is first
     index = {p: i for i, p in enumerate(perms)}
-    table = [
-        [index[tuple(a[b[i]] for i in range(n))] for b in perms] for a in perms
-    ]
+    # a row per adjacent transposition s, with (a b)(i) = a(b(i)); every
+    # other row is that of some s a with row a known, which is row s read
+    # at the entries of row a
+    swaps = []
+    for i in range(n - 1):
+        s = list(range(n))
+        s[i], s[i + 1] = i + 1, i
+        swaps.append([index[tuple(map(s.__getitem__, b))] for b in perms])
+    table: list = [None] * order
+    table[0] = tuple(range(order))
+    reached = [0]
+    for a in reached:  # reached grows while it is scanned
+        for row_s in swaps:
+            c = row_s[a]
+            if table[c] is None:
+                table[c] = tuple(map(row_s.__getitem__, table[a]))
+                reached.append(c)
     return Group(table, f"S({n})", family=("S", n))
 
 
@@ -364,19 +521,18 @@ def direct_product(g1: Group, g2: Group, *, cap: int | None = None) -> Group:
     """Componentwise product; element a*|G2| + b stands for (a, b)."""
     order = g1.order * g2.order
     label = f"{g1.label} x {g2.label}"
-    _check_cap(order, cap, label)
+    check_cap(order, cap, label)
     n2 = g2.order
-    t1, t2 = g1.table, g2.table
-    table = [[0] * order for _ in range(order)]
-    for a1 in range(g1.order):
-        for b1 in range(n2):
-            row = table[a1 * n2 + b1]
-            r1 = t1[a1]
-            r2 = t2[b1]
-            for a2 in range(g1.order):
-                base = r1[a2] * n2
-                for b2 in range(n2):
-                    row[a2 * n2 + b2] = base + r2[b2]
+    # row b of G2 moved to the block of each element c of G1: row
+    # a*n2 + b is those blocks in the order of row a of G1
+    blocks = [
+        [tuple(map((c * n2).__add__, r2)) for c in range(g1.order)] for r2 in g2.table
+    ]
+    table = [
+        tuple(itertools.chain.from_iterable(map(moved.__getitem__, r1)))
+        for r1 in g1.table
+        for moved in blocks
+    ]
     factors = (g1.factors or (g1,)) + (g2.factors or (g2,))
     return Group(table, label, factors=factors)
 

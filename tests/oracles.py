@@ -176,3 +176,78 @@ def xi(table, g):
         for y in all_subs
         if commutator_subgroup(table, x, y) == frozenset({0})
     )
+
+
+# Multiplication tables of the built-in families by their textbook rules,
+# one entry at a time.
+
+
+def cyclic_table(n):
+    """C_n: a * b = (a + b) mod n."""
+    return [[(a + b) % n for b in range(n)] for a in range(n)]
+
+
+def dihedral_table(n):
+    """D_n of order 2n, element s*n + r for x^s y^r with x^2 = y^n = 1 and
+    x^-1 y x = y^-1, so x^s1 y^r1 x^s2 y^r2 = x^(s1+s2) y^(r1 (-1)^s2 + r2)."""
+    table = [[0] * (2 * n) for _ in range(2 * n)]
+    for s1, r1, s2, r2 in itertools.product((0, 1), range(n), (0, 1), range(n)):
+        s = (s1 + s2) % 2
+        r = (r1 * (-1) ** s2 + r2) % n
+        table[s1 * n + r1][s2 * n + r2] = s * n + r
+    return table
+
+
+def quaternion_table():
+    """Q8, element s*4 + r for a^r b^s with a^4 = 1, b^2 = a^2 and
+    b^-1 a b = a^-1, so a^r1 b^s1 a^r2 b^s2 = a^(r1 + (-1)^s1 r2) b^(s1+s2),
+    times b^2 = a^2 when s1 = s2 = 1."""
+    table = [[0] * 8 for _ in range(8)]
+    for s1, r1, s2, r2 in itertools.product((0, 1), range(4), (0, 1), range(4)):
+        r = (r1 + (-1) ** s1 * r2 + 2 * (s1 * s2)) % 4
+        table[s1 * 4 + r1][s2 * 4 + r2] = (s1 + s2) % 2 * 4 + r
+    return table
+
+
+def modular_table(p, m):
+    """M(p, m) of order p^m, element i*q + j for y^i x^j with q = p^(m-1),
+    x^q = y^p = 1 and y^-1 x y = x^t, t = p^(m-2) + 1; so x^j y^i = y^i x^(j t^i)
+    and y^i1 x^j1 y^i2 x^j2 = y^(i1+i2) x^(j1 t^i2 + j2)."""
+    q = p ** (m - 1)
+    t = p ** (m - 2) + 1
+    order = p**m
+    table = [[0] * order for _ in range(order)]
+    for i1, j1, i2, j2 in itertools.product(range(p), range(q), range(p), range(q)):
+        table[i1 * q + j1][i2 * q + j2] = (i1 + i2) % p * q + (j1 * t**i2 + j2) % q
+    return table
+
+
+def symmetric_table(n):
+    """S_n on the permutations of range(n) in lexicographic order, with
+    (a b)(i) = a(b(i))."""
+    perms = list(itertools.permutations(range(n)))
+    return [
+        [perms.index(tuple(a[b[i]] for i in range(n))) for b in perms] for a in perms
+    ]
+
+
+def product_table(t1, t2):
+    """G1 x G2, element a*|G2| + b for (a, b): (a1, b1)(a2, b2) = (a1 a2, b1 b2)."""
+    n1, n2 = len(t1), len(t2)
+    table = [[0] * (n1 * n2) for _ in range(n1 * n2)]
+    for a1, b1, a2, b2 in itertools.product(range(n1), range(n2), range(n1), range(n2)):
+        table[a1 * n2 + b1][a2 * n2 + b2] = t1[a1][a2] * n2 + t2[b1][b2]
+    return table
+
+
+def family_table(family):
+    """The table of a group's ``family``, e.g. ("D", 4) or ("Q8",)."""
+    kind, *params = family
+    rules = {
+        "C": cyclic_table,
+        "D": dihedral_table,
+        "Q8": quaternion_table,
+        "M": modular_table,
+        "S": symmetric_table,
+    }
+    return rules[kind](*params)

@@ -12,7 +12,6 @@ from latdeg import (
     Group,
     characters,
     claims,
-    cli,
     degrees,
     enumerate_subgroups,
     make_cyclic,
@@ -21,7 +20,7 @@ from latdeg import (
     make_quaternion,
     make_symmetric,
 )
-from latdeg.groups import direct_product
+from latdeg.groups import builtin_families_up_to, direct_product, make_family
 
 
 def _holds(results):
@@ -172,11 +171,17 @@ def test_every_group_is_freed_by_reference_counting():
     # run_suite lets each group go as it moves on to the next; a cycle
     # between a group and its subgroups would keep the group, with its
     # kernel table, alive until a full collection, switched off here
-    groups = claims.builtin_groups_up_to(24)
-    refs = [weakref.ref(g) for g in groups]
+    refs = []
+
+    def built_on_their_turn():  # as the CLI builds them
+        for family in builtin_families_up_to(24):
+            group = make_family(family)
+            refs.append(weakref.ref(group))
+            yield group
+
     gc.disable()
     try:
-        claims.run_suite(cli._handed_out(groups))
+        claims.run_suite(built_on_their_turn())
         kept = [r().label for r in refs if r() is not None]
     finally:
         gc.enable()

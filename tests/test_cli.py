@@ -241,6 +241,19 @@ def test_wide_degrees_report_is_byte_identical_to_the_golden_report():
     )
 
 
+def test_tall_degrees_report_is_byte_identical_to_the_golden_report():
+    # the order-96 and order-120 groups of the benchmark's degrees-tall
+    # workload, the largest tables any benchmark invocation builds; the
+    # digest is the one that workload checks against
+    code, out = run_cli(
+        ["degrees", "-g", "D(48)", "-g", "S(4) x C(5)", "-g", "Q8 x C(3) x C(5)"]
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "fd46875c49b38c992c1bdaf516698556a8ba6cc87623795d80cec40bf34bb25e"
+    )
+
+
 def test_degrees_csv_report_is_byte_identical_to_the_golden_report():
     # the CSV writer's golden report, with a quoted label (M(3,3)) and
     # four ssd_n columns
@@ -289,6 +302,71 @@ def test_all_up_to_below_1_exits_2(order, monkeypatch, capsys):
     monkeypatch.setattr(claims, "_Context", _no_group)
     assert run_cli(["verify", "--all-up-to", order]) == (2, "")
     assert f"--all-up-to must be at least 1, got {order}" in _one_line_error(capsys)
+
+
+def _counting_group_builds(monkeypatch) -> list:
+    built = []
+    init = cli.Group.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[1])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.Group, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize(
+    "argv, result",
+    [
+        (["--all-up-to", "48", "--claims", ","], (0, "[]\n")),
+        (["--all-up-to", "48", "--claims", ""], (0, "[]\n")),
+        (["-g", "S(4) x C(5)", "--claims", ","], (0, "[]\n")),
+        (["--all-up-to", "48", "--claims", "C1,C99"], (2, "")),
+        (["--all-up-to", "48", "--claims", "C1,C1"], (2, "")),
+        (["--all-up-to", "300", "--claims", ","], (3, "")),
+        (["--all-up-to", "1000000000", "--claims", "C1"], (3, "")),
+        (["-g", "C(4)", "-g", "S(6)", "--claims", ","], (2, "")),
+    ],
+    ids=["empty-all", "blank-all", "empty-product", "unknown-id", "repeated-id",
+         "above-cap", "far-above-cap", "bad-parameter"],
+)
+def test_verify_builds_no_group_it_does_not_run(argv, result, monkeypatch):
+    # the claim selection and every group's parameters and order are
+    # checked before any group table is built
+    built = _counting_group_builds(monkeypatch)
+    assert run_cli(["verify", *argv]) == result
+    assert built == []
+
+
+def test_verify_builds_each_group_once_on_its_turn(monkeypatch):
+    labels = [g.label for g in claims.builtin_groups_up_to(12)]
+    built = _counting_group_builds(monkeypatch)
+    code, out = run_cli(["verify", "--all-up-to", "12", "--claims", "C1"])
+    assert code == 0 and out
+    assert built == labels
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["C(0)", "D(0)", "S(6)", "S(0)", "M(4,3)", "M(2,2)", "C(201)", "S(4) x S(4)",
+     "S(4) x C(5) x C(2)", "C(2) x S(6)", "Q8 x Q8 x Q8 x Q8", "C(1) x C(300)",
+     "D(3) x C(5)", "M(3,3)", "Q8"],
+)
+def test_a_spec_check_raises_what_its_build_raises(text, monkeypatch):
+    spec = cli.parse_group_spec(text)
+    try:
+        spec.build()
+        expected = None
+    except ValueError as exc:
+        expected = (type(exc), str(exc))
+    built = _counting_group_builds(monkeypatch)
+    try:
+        assert spec.check() is spec
+        found = None
+    except ValueError as exc:
+        found = (type(exc), str(exc))
+    assert (found, built) == (expected, [])
 
 
 def test_equal_specs_compare_equal():

@@ -4,6 +4,7 @@ import pytest
 
 import oracles
 from latdeg import (
+    Group,
     OrderCapExceeded,
     Subgroup,
     class_count,
@@ -21,6 +22,7 @@ from latdeg import (
     ssd_group,
 )
 from latdeg.arith import tau
+from latdeg.groups import builtin_families_up_to, make_family
 
 
 def test_cyclic_basics():
@@ -228,3 +230,131 @@ def test_subgroups_are_equal_by_mask_and_group_and_immutable():
         Subgroup(0b1000, c6)
     with pytest.raises(ValueError, match="outside its group"):
         Subgroup(1 | 1 << 6, c6)
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([], "a group has at least the identity element"),
+        ([[0, 1], [1]], "table row 1 has length 1, expected 2"),
+        ([[0, 1], [1, 0, 1]], "table row 1 has length 3, expected 2"),
+        ([[0, 2], [1, 0]], "table entry 2 out of range 0..1"),
+        ([[0, 1], [-1, 0]], "table entry -1 out of range 0..1"),
+        ([[0, 1, 2], [1, 1, 0], [2, 0, 1]], "table row 1 is not a permutation"),
+        ([[0, 1, 2], [1, 2, 0], [1, 0, 2]], "table column 0 is not a permutation"),
+        ([[1, 0], [0, 1]], "element 0 is not a two-sided identity"),
+        ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], "element 0 is not a two-sided identity"),
+    ],
+    ids=[
+        "empty", "short-row", "long-row", "entry-above-range", "entry-below-range",
+        "repeat-in-row", "repeat-in-column", "no-identity", "identity-on-one-side",
+    ],
+)
+def test_table_checks_name_the_fault(table, message):
+    with pytest.raises(ValueError) as e:
+        Group(table, "x")
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        # a whole row is checked before the next row's length
+        ([[0, 0, 1], [1, 2], [2, 0, 1]], "table row 0 is not a permutation"),
+        # out of range is found entry by entry, before the row's repeat
+        ([[0, 1, 1], [1, 2, 9], [2, 0, 1]], "table row 0 is not a permutation"),
+        ([[0, 1, 7], [1, 1, 0], [2, 0, 1]], "table entry 7 out of range 0..2"),
+        # every row before any column, every column before the identity
+        ([[0, 1, 2], [1, 2, 0], [0, 2, 1]], "table column 0 is not a permutation"),
+        ([[1, 0, 2], [0, 2, 1], [2, 1, 1]], "table row 2 is not a permutation"),
+    ],
+    ids=["row-before-short-row", "repeat-before-range", "range-before-repeat",
+         "column-before-identity", "row-before-identity"],
+)
+def test_a_table_with_two_faults_reports_the_first(table, message):
+    with pytest.raises(ValueError) as e:
+        Group(table, "x")
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize(
+    "table, entry",
+    [
+        ([[0, 1.9], [1.9, 0]], "1.9 in row 0, column 1"),
+        ([["0", "1"], ["1", "0"]], "'0' in row 0, column 0"),
+        ([[0, 1], [1, 0.0]], "0.0 in row 1, column 1"),
+        ([(0, 1), iter([1, None])], "None in row 1, column 1"),
+    ],
+    ids=["float", "str", "integral-float", "none-in-an-iterator"],
+)
+def test_a_table_entry_that_is_not_an_integer_is_refused(table, entry):
+    # entries convert as list indices do, so 1.9 no longer passes as 1
+    with pytest.raises(ValueError) as e:
+        Group(table, "x")
+    assert str(e.value) == f"table entry {entry} is not an integer"
+
+
+def test_integer_like_entries_convert_to_int():
+    class Index:
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+    g = Group([[0, Index(1)], (x for x in (True, False))], "x")
+    assert g.table == ((0, 1), (1, 0))
+    assert all(type(x) is int for row in g.table for x in row)
+
+
+# every family instance the benchmark and the golden reports build above
+# order 60, and the direct products among them
+LARGER_BUILTINS = [("D", 48), ("S", 5), ("M", 3, 4), ("M", 2, 6)]
+PRODUCTS = [
+    (("C", 2),) * 5,
+    (("D", 12), ("C", 2)),
+    (("D", 4), ("C", 2), ("C", 2)),
+    (("S", 4), ("C", 5)),
+    (("Q8",), ("C", 3), ("C", 5)),
+    (("S", 3), ("C", 5)),
+    (("Q8",), ("C", 3)),
+    (("C", 1), ("S", 3), ("C", 1)),
+]
+
+
+def _rows(table) -> tuple:
+    return tuple(map(tuple, table))
+
+
+@pytest.mark.parametrize(
+    "family",
+    builtin_families_up_to(60) + LARGER_BUILTINS,
+    ids=lambda family: "".join(map(str, family)),
+)
+def test_each_constructor_builds_its_textbook_table(family):
+    g = make_family(family)
+    assert g.family == family
+    assert g.table == _rows(oracles.family_table(family))
+    g.validate()
+
+
+@pytest.mark.parametrize(
+    "atoms", PRODUCTS, ids=lambda atoms: "x".join("".join(map(str, a)) for a in atoms)
+)
+def test_direct_products_build_the_componentwise_table(atoms):
+    group, expected = make_family(atoms[0]), oracles.family_table(atoms[0])
+    for atom in atoms[1:]:
+        group = direct_product(group, make_family(atom))
+        expected = oracles.product_table(expected, oracles.family_table(atom))
+        assert group.table == _rows(expected)
+    group.validate()
+
+
+def test_builtin_families_above_the_cap_fail_at_the_first_cyclic_group():
+    # as when the families are built one by one, C(cap + 1) fails first,
+    # and the instances above it are never listed
+    for max_order, cap, first in ((300, None, 201), (10**9, None, 201), (13, 12, 13)):
+        with pytest.raises(OrderCapExceeded) as e:
+            builtin_families_up_to(max_order, cap=cap)
+        limit = cap or 200
+        assert str(e.value) == f"C({first}) has order {first}, above the cap {limit}"
