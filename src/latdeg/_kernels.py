@@ -15,6 +15,8 @@ so such a rebinding counts only the calls made from outside.
 
 from __future__ import annotations
 
+import operator
+
 
 def bit_positions(mask: int) -> list[int]:
     """Positions of the set bits of ``mask``, ascending."""
@@ -28,18 +30,24 @@ def bit_positions(mask: int) -> list[int]:
 
 class Table:
     """Prepared multiplication table: rows, inverses, order, and what the
-    kernels learn about it as they run: the element commutators, the
-    per-element centralizers, C_G(H) per subgroup, the generators and
-    elements recorded for every subgroup a closure returned, and the
-    closures the commutator kernel asked for, keyed by their generating
-    mask.
+    kernels learn about it as they run:
+
+    - the element commutators and the per-element centralizers;
+    - C_G(H) per subgroup H;
+    - the generators and elements recorded for every subgroup a closure
+      returned;
+    - for the commutator kernel, the seed columns of each subgroup H it
+      asked for as its first argument with a K outside C_G(H);
+    - the closures the commutator kernel asked for, keyed by their
+      generating mask, and N_G(N) for every subgroup N they returned.
 
     ``rows`` is kept as given, not copied: a group's table is shared
     with its kernels, so callers must not mutate it."""
 
     __slots__ = (
-        "n", "rows", "inv", "_commutators",
-        "_centralizers", "_group_centralizer", "_subgroups", "_closures",
+        "n", "rows", "inv", "_commutators", "_centralizers",
+        "_group_centralizer", "_subgroups", "_seed_columns", "_closures",
+        "_normalizers",
     )
 
     def __init__(self, rows):
@@ -50,7 +58,9 @@ class Table:
         self._centralizers: list[int] | None = None
         self._group_centralizer: dict[int, int] = {}
         self._subgroups: dict[int, tuple[list[int], list[int]]] = {1: ([], [0])}
+        self._seed_columns: dict[int, list[int]] = {}
         self._closures: dict[int, int] = {}
+        self._normalizers: dict[int, int] = {}
 
     def commutators(self) -> list[list[int]]:
         """commutators()[a][b] is the element [a, b] = a^-1 b^-1 a b."""
@@ -98,7 +108,7 @@ class Table:
         do not mutate them."""
         out = self._subgroups.get(hmask)
         if out is None:
-            if _dimino(self, hmask)[0] != hmask:
+            if _dimino(self, hmask) != hmask:
                 raise ValueError("element set is not a subgroup")
             out = self._subgroups[hmask]
         return out
@@ -116,9 +126,9 @@ def prepare_table(rows) -> Table:
     return Table(rows)
 
 
-def _dimino(tab: Table, mask: int, base: int = 1) -> tuple[int, list[int]]:
+def _dimino(tab: Table, mask: int, base: int = 1) -> int:
     """The subgroup generated by the subgroup ``base`` and the elements of
-    ``mask``, and the generators picked for it.
+    ``mask``.
 
     Reached so far, Dimino style, extended from a known subgroup
     (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 3):
@@ -130,20 +140,21 @@ def _dimino(tab: Table, mask: int, base: int = 1) -> tuple[int, list[int]]:
     cost is O(|J| + [J:H] * #gens) per generator, and the elements of
     ``base`` are never rebuilt.
 
-    The result is always the subgroup the returned generators generate.
-    They and its elements are recorded for it, unless a closure recorded
-    it before, so :meth:`Table.generators` reads them, and a later
-    closure extends the result, without closing it again.
+    The result is always the subgroup the picked generators generate:
+    those recorded for ``base``, then each new one.  They and its
+    elements are recorded for it, unless a closure recorded it before,
+    so :meth:`Table.generators` reads them, and a later closure extends
+    the result, without closing it again.
     """
     rows = tab.rows
     gens, elems = tab.record(base)
-    gens, elems = gens[:], elems[:]
     members = base
     pending = mask & ~members
     while pending:
         s = (pending & -pending).bit_length() - 1
-        gens.append(s)
-        prev = elems[:]  # the subgroup reached so far
+        gens = gens + [s]  # new lists: recorded ones are never mutated
+        prev = elems  # the subgroup reached so far
+        elems = prev[:]
         reps = [0]
         for r in reps:  # reps grows while it is scanned
             rr = rows[r]
@@ -156,8 +167,9 @@ def _dimino(tab: Table, mask: int, base: int = 1) -> tuple[int, list[int]]:
                         members |= 1 << y
                         elems.append(y)
         pending &= ~members
-    tab._subgroups.setdefault(members, (gens, elems))
-    return members, gens
+    if members not in tab._subgroups:
+        tab._subgroups[members] = (gens, elems)
+    return members
 
 
 def closure_mask(tab: Table, mask: int, base: int = 1) -> int:
@@ -165,7 +177,7 @@ def closure_mask(tab: Table, mask: int, base: int = 1) -> int:
     of ``mask``.  The closure extends ``base`` rather than rebuilding
     it, so a join with a known member costs only the new cosets.  A
     ``base`` that is not a subgroup raises ValueError."""
-    return _dimino(tab, mask, base)[0]
+    return _dimino(tab, mask, base)
 
 
 def product_mask(tab: Table, amask: int, bmask: int) -> int:
@@ -176,6 +188,35 @@ def product_mask(tab: Table, amask: int, bmask: int) -> int:
         ra = rows[a]
         for b in bs:
             out |= 1 << ra[b]
+    return out
+
+
+def _seed_row(tab: Table, hmask: int) -> list[int]:
+    """Seed columns of the subgroup ``hmask``, memoized: cols[y] is the
+    mask of the commutators [x, y], x over the generators recorded for
+    it, for every element y."""
+    comm = tab.commutators()
+    shift = (1).__lshift__
+    cols = [0] * tab.n
+    for x in tab.generators(hmask):
+        cols = list(map(operator.or_, cols, map(shift, comm[x])))
+    tab._seed_columns[hmask] = cols
+    return cols
+
+
+def _normalizer(tab: Table, nmask: int) -> int:
+    """Mask of N_G(N) for the subgroup ``nmask``, memoized: g normalizes N
+    iff it maps the generators s recorded for N into N, that is iff
+    every [s, g] = s^-1 s^g lies in N."""
+    out = tab._normalizers.get(nmask)
+    if out is None:
+        comm = tab.commutators()
+        outside = 0
+        for s in tab._subgroups[nmask][0]:
+            for g, c in enumerate(comm[s]):
+                if not nmask >> c & 1:
+                    outside |= 1 << g
+        out = tab._normalizers[nmask] = ((1 << tab.n) - 1) & ~outside
     return out
 
 
@@ -190,45 +231,60 @@ def commutator_closure_mask(tab: Table, hmask: int, kmask: int) -> int:
     the normal closure in <H, K> of the generator commutators (Robinson,
     A Course in the Theory of Groups, 5.1.7).  X and Y are the
     generators recorded for H and K, at most log2 of the order each, so
-    no element pair of H x K is formed.  Trivial at once when K lies in
-    C_G(H).  Otherwise the normal closure grows from N = <S>: while some
-    conjugate of a generator of N by X u Y lies outside N, N becomes the
-    closure of N and those conjugates, extended from N.  Every such N
-    lies in [H, K], which <H, K> normalizes, and the last is normalized
-    by X u Y, hence by <H, K>, so it is [H, K].  Each closure comes from
-    a per-table memo keyed by its generating mask, since many pairs
-    share their seeds S and the steps after them.
+    no element pair of H x K is formed.
+
+    The table memoizes C_G(H), so a pair with K in C_G(H) is trivial at
+    one mask test.  At the first other pair of the row H, the table
+    memoizes its seed columns: for every element y, the mask of the
+    [x, y] with x in X.  S is then the union of the columns of Y.  <S>
+    comes from a per-table memo of closures keyed by their generating
+    mask, and N_G(<S>) from a per-table memo of normalizers, filled once
+    per closure.  When H and K lie in N_G(<S>), so does <H, K>, and <S>
+    is [H, K].  Otherwise the normal closure grows from N = <S>: N
+    becomes the closure of N and the conjugates of its generators by the
+    elements of X u Y outside N_G(N), extended from N and memoized the
+    same way, until H and K normalize it.  Every such N lies in [H, K],
+    which <H, K> normalizes, so the last one is [H, K].
     """
-    cent = tab._group_centralizer.get(hmask)
-    if cent is None:
+    try:
+        cent = tab._group_centralizer[hmask]
+    except KeyError:
         cent = tab.group_centralizer(hmask)
-    if kmask & ~cent == 0:
+    if kmask & cent == kmask:
         return 1
+    cols = tab._seed_columns.get(hmask) or _seed_row(tab, hmask)
+    try:
+        kgens = tab._subgroups[kmask][0]
+    except KeyError:
+        kgens = tab.generators(kmask)
+    seeds = 1
+    for y in kgens:
+        seeds |= cols[y]
+    closures = tab._closures
+    group = closures.get(seeds)
+    # the loop below memoizes the normalizer of every closure it memoizes
+    if group is not None and not (hmask | kmask) & ~tab._normalizers[group]:
+        return group
     rows = tab.rows
     inv = tab.inv
-    hgens = tab.generators(hmask)
-    kgens = tab.generators(kmask)
-    pending = 0
-    for x in hgens:
-        rx = rows[inv[x]]
-        for y in kgens:
-            pending |= 1 << rows[rows[rx[inv[y]]][x]][y]
-    conjugators = hgens + kgens
-    closures = tab._closures
+    conjugators = tab.generators(hmask) + kgens
     group = 1
-    pending &= ~1  # a commuting generator pair gives the identity
-    while pending:
+    pending = seeds
+    while True:
         key = group | pending
         grown = closures.get(key)
         if grown is None:
-            grown = closures[key] = _dimino(tab, pending, group)[0]
+            grown = closures[key] = _dimino(tab, pending, group)
         group = grown
+        normalizer = _normalizer(tab, group)
+        if not (hmask | kmask) & ~normalizer:
+            return group
         pending = 0
-        for s in tab._subgroups[group][0]:
-            for c in conjugators:
-                pending |= 1 << rows[rows[inv[c]][s]][c]
-        pending &= ~group
-    return group
+        for c in conjugators:
+            if not normalizer >> c & 1:
+                rc = rows[inv[c]]
+                for s in tab._subgroups[group][0]:
+                    pending |= 1 << rows[rc[s]][c]
 
 
 def conjugate_mask(tab: Table, mask: int, g: int) -> int:

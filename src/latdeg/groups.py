@@ -62,29 +62,46 @@ def check_cap(order: int, cap: int | None, what: str) -> None:
         raise OrderCapExceeded(f"{what} has order {order}, above the cap {limit}")
 
 
+def _parameter(value, what: str) -> int:
+    """``value`` as an int, by ``operator.index``; ValueError naming
+    ``what`` if it is a bool or not an integer."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def family_order(family: tuple) -> int:
     """Order of the built-in family instance ``family``, given as a
     group's ``family`` holds it: ("C", n), ("D", n), ("S", n), ("Q8",) or
-    ("M", p, m).  ValueError if the parameters are outside the family;
-    every family constructor checks its parameters here."""
+    ("M", p, m).  ValueError, naming the parameter, if a parameter is not
+    an integer (bools included) or is outside the family; every family
+    constructor checks its parameters here."""
     kind, *params = family
     if kind == "C":
         (n,) = params
+        n = _parameter(n, "cyclic order")
         if n < 1:
             raise ValueError(f"cyclic order must be positive, got {n}")
         return n
     if kind == "D":
         (n,) = params
+        n = _parameter(n, "dihedral parameter")
         if n < 1:
             raise ValueError(f"dihedral parameter must be positive, got {n}")
         return 2 * n
     if kind == "S":
         (n,) = params
+        n = _parameter(n, "symmetric group parameter")
         if not 1 <= n <= 5:
             raise ValueError(f"symmetric group parameter must be in 1..5, got {n}")
         return math.factorial(n)
     if kind == "M":
         p, m = params
+        p = _parameter(p, "modular group parameter p")
+        m = _parameter(m, "modular group parameter m")
         if not is_prime(p):
             raise ValueError(f"modular group parameter p must be prime, got {p}")
         if m < 3:

@@ -46,6 +46,16 @@ def commutator_subgroup(table, h_set, k_set):
     return closure(table, {commutator(table, h, k) for h in h_set for k in k_set})
 
 
+def normalizer(table, s_set):
+    """N_G(S): the elements g with g^-1 S g = S."""
+    s_set = frozenset(s_set)
+    return {
+        g
+        for g in range(len(table))
+        if {table[table[inverse(table, g)][x]][g] for x in s_set} == s_set
+    }
+
+
 def centralizer(table, k_set, h_set):
     return {
         k for k in k_set if all(table[k][h] == table[h][k] for h in h_set)

@@ -91,6 +91,25 @@ def test_symmetric():
         make_symmetric(6)
 
 
+@pytest.mark.parametrize(
+    ("make", "args", "name"),
+    [
+        (make_cyclic, (2.5,), "cyclic order"),
+        (make_cyclic, (True,), "cyclic order"),
+        (make_dihedral, ("3",), "dihedral parameter"),
+        (make_dihedral, (False,), "dihedral parameter"),
+        (make_symmetric, (True,), "symmetric group parameter"),
+        (make_symmetric, (3.0,), "symmetric group parameter"),
+        (make_modular, (3.0, 3), "modular group parameter p"),
+        (make_modular, (3, True), "modular group parameter m"),
+    ],
+)
+def test_family_parameters_must_be_integers(make, args, name):
+    # bools are ints to operator.index, but S(True) is no group label
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        make(*args)
+
+
 def test_direct_product():
     c2, c3 = make_cyclic(2), make_cyclic(3)
     p = direct_product(c2, c3)

@@ -189,6 +189,30 @@ def test_commutator_closure_matches_oracle_on_subgroup_pairs(labels, data):
         assert kernels.commutator_closure_mask(tab, h, k) == _mask(expected)
 
 
+@few
+@given(labels=group_labels(firsts=NONABELIAN))
+def test_memoized_normalizers_match_oracle(labels):
+    group, lat = group_and_lattice(labels)
+    lat.brackets
+    memo = group.ktab._normalizers
+    # a non-abelian group has a pair that does not commute
+    assert memo
+    for nmask, norm in memo.items():
+        assert norm == _mask(oracles.normalizer(group.table, _set(nmask)))
+
+
+def test_s5_memoized_normalizers_match_oracle():
+    # in S(5) some <S> with two generators is an S3 whose normalizer is
+    # not the set of elements mapping its first generator into it
+    group = make_symmetric(5)
+    lat = enumerate_subgroups(group)
+    lat.brackets
+    memo = group.ktab._normalizers
+    assert any(len(group.ktab.generators(n)) > 1 for n in memo)
+    for nmask, norm in memo.items():
+        assert norm == _mask(oracles.normalizer(group.table, _set(nmask)))
+
+
 def test_s4_pairs_sharing_a_seed_set_match_oracle():
     # [H, K] is the normal closure in <H, K> of the seed set S, the
     # commutators of the generators of H and K, and <S> is memoized per
