@@ -1,4 +1,4 @@
-"""Kernel edge cases on a small table."""
+"""Kernel edge cases and named commutator-kernel cases on small tables."""
 
 from __future__ import annotations
 
@@ -7,13 +7,6 @@ import itertools
 import oracles
 from latdeg import _kernels as kernels
 from latdeg.groups import make_symmetric
-
-
-def test_closure_from_empty_mask_is_trivial():
-    s3 = make_symmetric(3)
-    t = kernels.prepare_table(s3.table)
-    assert kernels.closure_mask(t, 0) == 1
-    assert kernels.closure_mask(t, 1) == 1
 
 
 def _mask(elements) -> int:
@@ -40,6 +33,13 @@ def _seed_closure(tab, hmask: int, kmask: int) -> frozenset:
 
 def _members(mask: int) -> set[int]:
     return {i for i in range(mask.bit_length()) if mask >> i & 1}
+
+
+def test_closure_from_empty_mask_is_trivial():
+    s3 = make_symmetric(3)
+    t = kernels.prepare_table(s3.table)
+    assert kernels.closure_mask(t, 0) == 1
+    assert kernels.closure_mask(t, 1) == 1
 
 
 def test_bracket_of_d8_with_itself_is_its_seed_closure():
