@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import NamedTuple
 
 from latdeg import characters, degrees
 from latdeg.arith import is_prime, sigma, tau
-from latdeg.degrees import BudgetExceeded
+from latdeg.degrees import DEFAULT_N_MAX, BudgetExceeded
 from latdeg.groups import (
     Group,
     OrderCapExceeded,
@@ -29,8 +30,6 @@ from latdeg.groups import (
     make_family,
 )
 from latdeg.lattice import Lattice, enumerate_subgroups
-
-DEFAULT_N_MAX = 3
 
 
 class Claim(NamedTuple):
@@ -79,7 +78,6 @@ class _Context:
         self._ssd_multi: dict[tuple[int, int, bool], Fraction] = {}
         self._d_multi: dict[tuple[int, int], Fraction] = {}
         self._sub_degrees: dict[int, Fraction] = {}
-        self._factors: tuple[list | None, str | None] | None = None
 
     def sd_below(self, i: int) -> Fraction:
         """sd(L_i): the density of the permuting pairs in the sublattice
@@ -153,16 +151,15 @@ class _Context:
             )
         return self._d_multi[key]
 
+    @cached_property
     def coprime_factors(self) -> tuple[list[Lattice] | None, str | None]:
         """(factor lattices, None) when the group is a direct product of
         pairwise coprime factors, else (None, reason).  Each factor
         lattice is enumerated once per context."""
-        if self._factors is None:
-            factors, reason = _coprime_factors(self.group)
-            if factors is not None:
-                factors = [enumerate_subgroups(f, cap=self.cap) for f in factors]
-            self._factors = (factors, reason)
-        return self._factors
+        factors, reason = _coprime_factors(self.group)
+        if factors is not None:
+            factors = [enumerate_subgroups(f, cap=self.cap) for f in factors]
+        return factors, reason
 
 
 CLAIMS: dict[str, Claim] = {}
@@ -451,7 +448,7 @@ def _coprime_factors(g: Group) -> tuple[list[Group] | None, str | None]:
     "direct products with pairwise coprime factor orders",
 )
 def _c9(ctx: _Context):
-    factors, reason = ctx.coprime_factors()
+    factors, reason = ctx.coprime_factors
     if factors is None:
         yield _not_applicable(ctx, "C9", reason)
         return
@@ -513,7 +510,7 @@ def _c11(ctx: _Context):
     "direct products with pairwise coprime factor orders",
 )
 def _c12(ctx: _Context):
-    factors, reason = ctx.coprime_factors()
+    factors, reason = ctx.coprime_factors
     if factors is None:
         yield _not_applicable(ctx, "C12", reason)
         return
@@ -749,10 +746,8 @@ def run_claim(
 ) -> list[ClaimResult]:
     """Check one claim on one group, one result per instantiation, at
     depths 1..``n_max``, with lattices enumerated under ``order_cap``."""
-    if claim_id not in CLAIMS:
-        raise ValueError(f"unknown claim id {claim_id!r}")
-    degrees.check_n_max(n_max, "n_max")
-    return _run_one(claim_id, _Context(group, n_max, order_cap))
+    report = run_suite([group], [claim_id], n_max=n_max, order_cap=order_cap)
+    return list(report.results)
 
 
 def run_suite(

@@ -106,7 +106,7 @@ class GroupSpec(NamedTuple):
         """This spec, once it has raised what :meth:`build` would raise
         (a parameter outside its family, an order above the cap), in the
         same order; no table is built."""
-        orders = [check_family(a.instance, cap) for a in self.atoms]
+        orders = [check_family(a.instance, cap)[1] for a in self.atoms]
         order = orders[0]
         for k in range(1, len(orders)):
             order *= orders[k]
@@ -521,7 +521,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--n-max", type=int, default=3, help="depth for the iterated degrees"
+        "--n-max", type=int, default=degrees.DEFAULT_N_MAX,
+        help="depth for the iterated degrees",
     )
     common.add_argument(
         "--order-cap", type=int, default=None,

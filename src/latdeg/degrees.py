@@ -24,6 +24,7 @@ from latdeg.lattice import Lattice
 
 TUPLE_BUDGET = 10_000_000  # d_multi refuses, and C13 skips, more tuples
 MULTI_N_CAP = 4
+DEFAULT_N_MAX = 3  # the depth of `--n-max` and of the claim runners
 
 
 class BudgetExceeded(ValueError):

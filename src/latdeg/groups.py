@@ -15,6 +15,7 @@ import itertools
 import math
 import operator
 import os
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from latdeg import _kernels as kernels
@@ -73,31 +74,32 @@ def _parameter(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
-def family_order(family: tuple) -> int:
-    """Order of the built-in family instance ``family``, given as a
-    group's ``family`` holds it: ("C", n), ("D", n), ("S", n), ("Q8",) or
-    ("M", p, m).  ValueError, naming the parameter, if a parameter is not
-    an integer (bools included) or is outside the family; every family
-    constructor checks its parameters here."""
+def _family(family: tuple) -> tuple[tuple, int]:
+    """(``family`` with its parameters converted to ints, its order), for
+    the built-in family instance ``family`` given as a group's ``family``
+    holds it: ("C", n), ("D", n), ("S", n), ("Q8",) or ("M", p, m).
+    ValueError, naming the parameter, if a parameter is not an integer
+    (bools included) or is outside the family; every family constructor
+    checks its parameters here."""
     kind, *params = family
     if kind == "C":
         (n,) = params
         n = _parameter(n, "cyclic order")
         if n < 1:
             raise ValueError(f"cyclic order must be positive, got {n}")
-        return n
+        return ("C", n), n
     if kind == "D":
         (n,) = params
         n = _parameter(n, "dihedral parameter")
         if n < 1:
             raise ValueError(f"dihedral parameter must be positive, got {n}")
-        return 2 * n
+        return ("D", n), 2 * n
     if kind == "S":
         (n,) = params
         n = _parameter(n, "symmetric group parameter")
         if not 1 <= n <= 5:
             raise ValueError(f"symmetric group parameter must be in 1..5, got {n}")
-        return math.factorial(n)
+        return ("S", n), math.factorial(n)
     if kind == "M":
         p, m = params
         p = _parameter(p, "modular group parameter p")
@@ -106,9 +108,9 @@ def family_order(family: tuple) -> int:
             raise ValueError(f"modular group parameter p must be prime, got {p}")
         if m < 3:
             raise ValueError(f"modular group parameter m must be at least 3, got {m}")
-        return p**m
+        return ("M", p, m), p**m
     if kind == "Q8" and not params:
-        return 8
+        return ("Q8",), 8
     raise ValueError(f"unknown group family {family!r}")
 
 
@@ -118,17 +120,19 @@ def family_label(family: tuple) -> str:
     return f"{kind}({','.join(map(str, params))})" if params else kind
 
 
-def check_family(family: tuple, cap: int | None = None) -> int:
-    """Order of the built-in family instance ``family``, after the checks
-    its constructor makes before it builds a table: ValueError for
-    parameters outside the family, OrderCapExceeded above the cap."""
-    order = family_order(family)
+def check_family(family: tuple, cap: int | None = None) -> tuple[tuple, int]:
+    """(``family`` with its parameters converted to ints, its order),
+    after the checks its constructor makes before it builds a table:
+    ValueError for parameters outside the family (see :func:`_family`),
+    OrderCapExceeded above the cap.  Each family constructor builds,
+    labels and records its group from the ints."""
+    family, order = _family(family)
     check_cap(order, cap, family_label(family))
-    return order
+    return family, order
 
 
 def make_family(family: tuple, *, cap: int | None = None) -> Group:
-    """The built-in family instance ``family`` (see :func:`family_order`)."""
+    """The built-in family instance ``family`` (see :func:`_family`)."""
     kind, *params = family
     if kind == "C":
         return make_cyclic(*params, cap=cap)
@@ -173,7 +177,7 @@ def builtin_families_up_to(max_order: int, *, cap: int | None = None) -> list[tu
                 families.append(("M", p, m))
                 m += 1
         p += 1
-    families.sort(key=lambda f: (family_order(f), family_label(f)))
+    families.sort(key=lambda f: (_family(f)[1], family_label(f)))
     return families
 
 
@@ -325,21 +329,15 @@ class Group:
         self.label = label
         self.family = family
         self.factors = factors
-        self._ktab = None
-        self._abelian: bool | None = None
-        self._classes: tuple[tuple[int, ...], ...] | None = None
-        self._derived: tuple[int, ...] | None = None  # masks, see derived_series
 
     def __repr__(self) -> str:
         return f"Group({self.label!r}, order={self.order})"
 
-    @property
+    @cached_property
     def ktab(self):
         """Kernel-prepared table, built once on first use; it shares the
         rows of ``table`` and holds the group's one list of inverses."""
-        if self._ktab is None:
-            self._ktab = kernels.prepare_table(self.table)
-        return self._ktab
+        return kernels.prepare_table(self.table)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -356,21 +354,21 @@ class Group:
             k += 1
         return k
 
-    @property
+    @cached_property
     def is_abelian(self) -> bool:
-        if self._abelian is None:
-            n = self.order
-            self._abelian = kernels.count_commuting_pairs(self.ktab) == n * n
-        return self._abelian
+        n = self.order
+        return kernels.count_commuting_pairs(self.ktab) == n * n
+
+    @cached_property
+    def _classes(self) -> tuple[tuple[int, ...], ...]:
+        ids = kernels.conjugacy_class_ids(self.ktab)
+        buckets: list[list[int]] = [[] for _ in range(max(ids) + 1)]
+        for g, c in enumerate(ids):
+            buckets[c].append(g)
+        return tuple(tuple(b) for b in buckets)
 
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         """Partition of element indices into conjugation orbits."""
-        if self._classes is None:
-            ids = kernels.conjugacy_class_ids(self.ktab)
-            buckets: list[list[int]] = [[] for _ in range(max(ids) + 1)]
-            for g, c in enumerate(ids):
-                buckets[c].append(g)
-            self._classes = tuple(tuple(b) for b in buckets)
         return self._classes
 
     def closure(self, gens: Iterable[int]) -> Subgroup:
@@ -389,6 +387,20 @@ class Group:
     def full_subgroup(self) -> Subgroup:
         return Subgroup((1 << self.order) - 1, self)
 
+    @cached_property
+    def _derived(self) -> tuple[int, ...]:
+        # the masks of derived_series
+        series = [(1 << self.order) - 1]
+        while True:
+            cur = series[-1]
+            nxt = kernels.commutator_closure_mask(self.ktab, cur, cur)
+            if nxt == cur:
+                break
+            series.append(nxt)
+            if nxt == 1:
+                break
+        return tuple(series)
+
     def derived_series(self) -> tuple[Subgroup, ...]:
         """G >= G' >= G'' >= ... until the series stabilizes.
 
@@ -396,17 +408,6 @@ class Group:
         to its group, and the cycle would keep both alive until a full
         garbage collection.
         """
-        if self._derived is None:
-            series = [(1 << self.order) - 1]
-            while True:
-                cur = series[-1]
-                nxt = kernels.commutator_closure_mask(self.ktab, cur, cur)
-                if nxt == cur:
-                    break
-                series.append(nxt)
-                if nxt == 1:
-                    break
-            self._derived = tuple(series)
         return tuple(Subgroup(m, self) for m in self._derived)
 
     @property
@@ -440,7 +441,7 @@ def _rotated(block: tuple[int, ...], k: int) -> tuple[int, ...]:
 
 def make_cyclic(n: int, *, cap: int | None = None) -> Group:
     """Cyclic group C_n with table (a+b) mod n."""
-    check_family(("C", n), cap)
+    (_, n), _ = check_family(("C", n), cap)
     ids = tuple(range(n))
     table = [ids[a:] + ids[:a] for a in ids]
     return Group(table, f"C({n})", family=("C", n))
@@ -452,7 +453,7 @@ def make_dihedral(n: int, *, cap: int | None = None) -> Group:
     Element s*n + r stands for x^s y^r.  n = 1 gives C2, n = 2 the
     Klein four-group; the group is nonabelian for n >= 3.
     """
-    check_family(("D", n), cap)
+    (_, n), _ = check_family(("D", n), cap)
     # x^s y^r times y^r2 is x^s y^(r + r2), times x y^r2 is x^(1-s) y^(r2 - r):
     # row s*n + r is block s rotated by r, then block 1-s rotated by -r
     blocks = (tuple(range(n)), tuple(range(n, 2 * n)))
@@ -472,7 +473,7 @@ def make_modular(p: int, m: int, *, cap: int | None = None) -> Group:
     group (x^(2+1) = x^-1); it is accepted because the construction is
     well defined there.
     """
-    check_family(("M", p, m), cap)
+    (_, p, m), _ = check_family(("M", p, m), cap)
     q = p ** (m - 1)
     t = p ** (m - 2) + 1
     tpow = [1] * p
@@ -511,7 +512,7 @@ def make_quaternion(*, cap: int | None = None) -> Group:
 
 def make_symmetric(n: int, *, cap: int | None = None) -> Group:
     """Symmetric group S_n on permutation tuples, 1 <= n <= 5."""
-    order = check_family(("S", n), cap)
+    (_, n), order = check_family(("S", n), cap)
     perms = list(itertools.permutations(range(n)))  # identity is first
     index = {p: i for i, p in enumerate(perms)}
     # a row per adjacent transposition s, with (a b)(i) = a(b(i)); every

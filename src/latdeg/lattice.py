@@ -11,7 +11,8 @@ relation: the up-set and down-set of every member, the position of each
 cyclic subgroup <e>, joins, the conjugacy class of every member (as the
 position of the lowest member in it), the normal members (those alone
 in their class), and the permutability, commuting and bracket tables,
-each built on first use.  It is the one handle on a group's subgroups:
+each a ``cached_property``: built on first use, then held as an
+instance attribute.  It is the one handle on a group's subgroups:
 the degree, character and claim code takes a lattice and reads its
 group from ``lat.group``.
 """
@@ -19,16 +20,10 @@ group from ``lat.group``.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 
 from latdeg import _kernels as kernels
-from latdeg.groups import (
-    Group,
-    OrderCapExceeded,
-    Subgroup,
-    bit_positions,
-    order_cap,
-    same_group,
-)
+from latdeg.groups import Group, Subgroup, bit_positions, check_cap, same_group
 
 
 def _lex_key(mask: int, n: int) -> int:
@@ -54,14 +49,6 @@ class Lattice:
             raise ValueError("duplicate subgroups in lattice")
         if ordered[0].size != 1 or ordered[-1].size != n:
             raise ValueError("lattice must contain the trivial and full subgroups")
-        self._up: tuple[int, ...] | None = None
-        self._down: tuple[int, ...] | None = None
-        self._cyclic: tuple[int, ...] | None = None
-        self._class_of: tuple[int, ...] | None = None
-        self._normal: tuple[int, ...] | None = None
-        self._perm_rows: tuple[int, ...] | None = None
-        self._phi_rows: tuple[int, ...] | None = None
-        self._brackets: tuple[tuple[int, ...], ...] | None = None
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -82,7 +69,9 @@ class Lattice:
         except KeyError:
             raise ValueError("subgroup is not a member of this lattice") from None
 
-    def _order_relation(self) -> None:
+    @cached_property
+    def _order_relation(self) -> tuple[tuple[int, ...], ...]:
+        """(up, down, cyclic), from one pass over (member, element)."""
         # holders[e] is the set of members containing element e; L_j >= L_i
         # iff L_j holds every element of L_i, and L_j <= L_i iff it holds
         # no element outside L_i
@@ -101,31 +90,25 @@ class Lattice:
                     outside |= holding
             up.append(above)
             down.append(everyone & ~outside)
-        self._up, self._down = tuple(up), tuple(down)
-        self._cyclic = tuple((h & -h).bit_length() - 1 for h in holders)
+        cyclic = tuple((h & -h).bit_length() - 1 for h in holders)
+        return tuple(up), tuple(down), cyclic
 
-    @property
+    @cached_property
     def up(self) -> tuple[int, ...]:
         """up[i]: the members containing L_i."""
-        if self._up is None:
-            self._order_relation()
-        return self._up
+        return self._order_relation[0]
 
-    @property
+    @cached_property
     def down(self) -> tuple[int, ...]:
         """down[i]: the members contained in L_i."""
-        if self._down is None:
-            self._order_relation()
-        return self._down
+        return self._order_relation[1]
 
-    @property
+    @cached_property
     def cyclic(self) -> tuple[int, ...]:
         """cyclic[e]: the position of <e>.  Every member holding the
         element e contains <e>, and positions ascend with size, so it is
         the lowest member holding e."""
-        if self._cyclic is None:
-            self._order_relation()
-        return self._cyclic
+        return self._order_relation[2]
 
     def join(self, i: int, j: int) -> int:
         """Position of L_i v L_j: the smallest, hence lowest, common upper
@@ -133,7 +116,7 @@ class Lattice:
         common = self.up[i] & self.up[j]
         return (common & -common).bit_length() - 1
 
-    @property
+    @cached_property
     def class_of(self) -> tuple[int, ...]:
         """class_of[i]: the position of the lowest member conjugate to L_i.
 
@@ -142,38 +125,32 @@ class Lattice:
         word in them.  Members are taken in ascending order, and each
         one not yet reached starts the orbit it is the lowest member of.
         """
-        if self._class_of is None:
-            ktab = self.group.ktab
-            gens = ktab.generators((1 << self.group.order) - 1)
-            masks = [s.mask for s in self.subgroups]
-            index_of = self.index_of
-            class_of = [-1] * len(masks)
-            for i in range(len(masks)):
-                if class_of[i] >= 0:
-                    continue
-                class_of[i] = i
-                orbit = [i]
-                for j in orbit:  # orbit grows while it is scanned
-                    for g in gens:
-                        k = index_of[kernels.conjugate_mask(ktab, masks[j], g)]
-                        if class_of[k] < 0:
-                            class_of[k] = i
-                            orbit.append(k)
-            self._class_of = tuple(class_of)
-        return self._class_of
+        ktab = self.group.ktab
+        gens = ktab.generators((1 << self.group.order) - 1)
+        masks = [s.mask for s in self.subgroups]
+        index_of = self.index_of
+        class_of = [-1] * len(masks)
+        for i in range(len(masks)):
+            if class_of[i] >= 0:
+                continue
+            class_of[i] = i
+            orbit = [i]
+            for j in orbit:  # orbit grows while it is scanned
+                for g in gens:
+                    k = index_of[kernels.conjugate_mask(ktab, masks[j], g)]
+                    if class_of[k] < 0:
+                        class_of[k] = i
+                        orbit.append(k)
+        return tuple(class_of)
 
-    @property
+    @cached_property
     def normal(self) -> tuple[int, ...]:
         """The positions of the normal members, ascending: the members
         alone in their conjugacy class."""
-        if self._normal is None:
-            sizes = Counter(self.class_of)
-            self._normal = tuple(
-                i for i, c in enumerate(self.class_of) if sizes[c] == 1
-            )
-        return self._normal
+        sizes = Counter(self.class_of)
+        return tuple(i for i, c in enumerate(self.class_of) if sizes[c] == 1)
 
-    @property
+    @cached_property
     def perm_rows(self) -> tuple[int, ...]:
         """Row i: the members L_j with L_i L_j = L_j L_i.
 
@@ -181,55 +158,48 @@ class Lattice:
         subgroup, hence H v K, exactly when |HK| = |H||K|/|H n K| equals
         |H v K|, so a pair permutes iff |H||K| = |H n K||H v K|.
         """
-        if self._perm_rows is None:
-            up, down, phi = self.up, self.down, self.phi_rows
-            masks = [s.mask for s in self.subgroups]
-            sizes = [s.size for s in self.subgroups]
-            everyone = (1 << len(masks)) - 1
-            rows = [0] * len(masks)
-            for i, (mi, si) in enumerate(zip(masks, sizes)):
-                # known is symmetric in (i, j); only pairs j > i are tested
-                known = up[i] | down[i] | phi[i]
-                rows[i] |= known
-                later = everyone & ~((2 << i) - 1)
-                for j in bit_positions(later & ~known):
-                    common = (mi & masks[j]).bit_count()
-                    if si * sizes[j] == common * sizes[self.join(i, j)]:
-                        rows[i] |= 1 << j
-                        rows[j] |= 1 << i
-            self._perm_rows = tuple(rows)
-        return self._perm_rows
+        up, down, phi = self.up, self.down, self.phi_rows
+        masks = [s.mask for s in self.subgroups]
+        sizes = [s.size for s in self.subgroups]
+        everyone = (1 << len(masks)) - 1
+        rows = [0] * len(masks)
+        for i, (mi, si) in enumerate(zip(masks, sizes)):
+            # known is symmetric in (i, j); only pairs j > i are tested
+            known = up[i] | down[i] | phi[i]
+            rows[i] |= known
+            later = everyone & ~((2 << i) - 1)
+            for j in bit_positions(later & ~known):
+                common = (mi & masks[j]).bit_count()
+                if si * sizes[j] == common * sizes[self.join(i, j)]:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+        return tuple(rows)
 
-    @property
+    @cached_property
     def phi_rows(self) -> tuple[int, ...]:
         """Row i: the members L_j with [L_i, L_j] = 1, that is the members
         contained in C_G(L_i)."""
-        if self._phi_rows is None:
-            ktab = self.group.ktab
-            full = (1 << self.group.order) - 1
-            self._phi_rows = tuple(
-                self.down[self.index_of[kernels.centralizer_mask(ktab, full, s.mask)]]
-                for s in self.subgroups
-            )
-        return self._phi_rows
+        ktab = self.group.ktab
+        full = (1 << self.group.order) - 1
+        return tuple(
+            self.down[self.index_of[kernels.centralizer_mask(ktab, full, s.mask)]]
+            for s in self.subgroups
+        )
 
-    @property
+    @cached_property
     def brackets(self) -> tuple[tuple[int, ...], ...]:
         """brackets[i][j]: the position of [L_i, L_j], each entry computed
         as written, without assuming symmetry: the normal closure in
         <L_i, L_j> of the generator commutators [x, y] with x from the
         generators recorded for L_i and y from those for L_j, one kernel
         call per ordered pair."""
-        if self._brackets is None:
-            ktab = self.group.ktab
-            bracket = kernels.commutator_closure_mask
-            masks = [s.mask for s in self.subgroups]
-            index_of = self.index_of
-            self._brackets = tuple(
-                tuple([index_of[bracket(ktab, hm, km)] for km in masks])
-                for hm in masks
-            )
-        return self._brackets
+        ktab = self.group.ktab
+        bracket = kernels.commutator_closure_mask
+        masks = [s.mask for s in self.subgroups]
+        index_of = self.index_of
+        return tuple(
+            tuple([index_of[bracket(ktab, hm, km)] for km in masks]) for hm in masks
+        )
 
 
 def enumerate_subgroups(g: Group, *, cap: int | None = None) -> Lattice:
@@ -245,10 +215,7 @@ def enumerate_subgroups(g: Group, *, cap: int | None = None) -> Lattice:
     (those of H, then a: at most log2 of its order) for the bracket
     table to read.
     """
-    if g.order > order_cap(cap):
-        raise OrderCapExceeded(
-            f"{g.label} has order {g.order}, above the cap {order_cap(cap)}"
-        )
+    check_cap(g.order, cap, g.label)
     ktab = g.ktab
     masks: list[int] = [1]
     seen = {1}

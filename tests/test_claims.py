@@ -82,6 +82,24 @@ def test_c12_holds_per_factor_pair_and_per_depth():
     ]
 
 
+def test_coprime_factor_lattices_are_enumerated_once_on_first_use(monkeypatch):
+    enumerated = []
+
+    def counted(g, **kwargs):
+        enumerated.append(g.label)
+        return enumerate_subgroups(g, **kwargs)
+
+    monkeypatch.setattr(claims, "enumerate_subgroups", counted)
+    ctx = claims._Context(
+        direct_product(make_cyclic(3), make_cyclic(4)), claims.DEFAULT_N_MAX, None
+    )
+    assert "coprime_factors" not in vars(ctx)
+    factors, reason = ctx.coprime_factors
+    assert ctx.coprime_factors == (factors, reason)
+    assert reason is None and [f.group.label for f in factors] == ["C(3)", "C(4)"]
+    assert enumerated == ["C(3) x C(4)", "C(3)", "C(4)"]
+
+
 def test_c9_not_applicable_without_coprimality():
     g = direct_product(make_symmetric(3), make_cyclic(2))
     res = claims.run_claim("C9", g)

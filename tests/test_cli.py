@@ -466,6 +466,15 @@ def test_n_max_above_the_depth_cap_exits_3(argv, monkeypatch, capsys):
     assert run_cli([*argv, "--n-max", "4"])[0] == 0
 
 
+@pytest.mark.parametrize(
+    "argv", [["degrees", "-g", "C(4)"], ["verify", "-g", "C(4)"]]
+)
+def test_default_n_max_is_the_claims_default(argv):
+    # one default depth, defined in degrees, for the CLI and the claims
+    args = cli._build_parser().parse_args(argv)
+    assert args.n_max == claims.DEFAULT_N_MAX
+
+
 def test_stale_backend_variable_is_ignored():
     # there is one kernel backend; an old LATDEG_BACKEND setting must not
     # change or break a run

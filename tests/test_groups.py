@@ -110,6 +110,32 @@ def test_family_parameters_must_be_integers(make, args, name):
         make(*args)
 
 
+class _Index:
+    """An integer-like parameter: not an int, but ``__index__`` gives one."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize(
+    ("make", "args"),
+    [
+        (make_cyclic, (4,)),
+        (make_dihedral, (3,)),
+        (make_symmetric, (3,)),
+        (make_modular, (3, 3)),
+    ],
+)
+def test_family_constructors_build_from_the_converted_parameters(make, args):
+    # label, family and table are those of the group built from the ints
+    g, plain = make(*map(_Index, args)), make(*args)
+    assert (g.label, g.family, g.table) == (plain.label, plain.family, plain.table)
+    assert all(type(p) is int for p in g.family[1:])
+
+
 def test_direct_product():
     c2, c3 = make_cyclic(2), make_cyclic(3)
     p = direct_product(c2, c3)
@@ -314,14 +340,7 @@ def test_a_table_entry_that_is_not_an_integer_is_refused(table, entry):
 
 
 def test_integer_like_entries_convert_to_int():
-    class Index:
-        def __init__(self, value):
-            self.value = value
-
-        def __index__(self):
-            return self.value
-
-    g = Group([[0, Index(1)], (x for x in (True, False))], "x")
+    g = Group([[0, _Index(1)], (x for x in (True, False))], "x")
     assert g.table == ((0, 1), (1, 0))
     assert all(type(x) is int for row in g.table for x in row)
 

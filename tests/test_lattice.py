@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import inspect
 import re
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,7 @@ import oracles
 from latdeg import _kernels as kernels
 from latdeg import (
     Lattice,
+    OrderCapExceeded,
     Subgroup,
     characters,
     claims,
@@ -126,6 +128,63 @@ def test_s3_lattice():
     s3 = make_symmetric(3)
     lat = enumerate_subgroups(s3)
     assert [s.size for s in lat.subgroups] == [1, 2, 2, 2, 3, 6]
+
+
+def test_enumeration_above_the_cap_is_refused():
+    with pytest.raises(OrderCapExceeded) as e:
+        enumerate_subgroups(make_cyclic(12), cap=10)
+    assert str(e.value) == "C(12) has order 12, above the cap 10"
+    with pytest.raises(ValueError, match="--order-cap"):
+        enumerate_subgroups(make_cyclic(12), cap=0)
+
+
+LATTICE_DERIVED = (
+    "_order_relation", "up", "down", "cyclic", "class_of", "normal",
+    "perm_rows", "phi_rows", "brackets",
+)
+COUNTED_KERNELS = (
+    "prepare_table", "count_commuting_pairs", "conjugacy_class_ids",
+    "commutator_closure_mask", "centralizer_mask", "conjugate_mask",
+)
+
+
+def test_derived_data_is_computed_once_and_only_on_use(monkeypatch):
+    calls = Counter()
+    for name in COUNTED_KERNELS:
+        def counted(*args, _name=name, _kernel=getattr(kernels, name)):
+            calls[_name] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(kernels, name, counted)
+
+    def twice(read):
+        # the kernel calls of the first read; the second makes none and
+        # gives an equal value
+        before = calls.copy()
+        value = read()
+        made = calls - before
+        after = calls.copy()
+        assert read() == value and calls == after
+        return made
+
+    g = make_symmetric(3)
+    assert set(vars(g)) == {"order", "table", "label", "family", "factors"}
+    assert twice(lambda: g.ktab) == {"prepare_table": 1}
+    assert twice(lambda: g.is_abelian) == {"count_commuting_pairs": 1}
+    assert twice(g.conjugacy_classes) == {"conjugacy_class_ids": 1}
+    assert twice(g.derived_series) == {"commutator_closure_mask": 2}  # S3 > A3 > 1
+    lat = enumerate_subgroups(g)
+    assert set(vars(lat)).isdisjoint(LATTICE_DERIVED)
+    assert twice(lambda: lat.brackets) == {"commutator_closure_mask": 36}
+    assert twice(lambda: lat.phi_rows) == {"centralizer_mask": 6}
+    assert twice(lambda: lat.class_of) == {"conjugate_mask": 12}  # 6 members, 2 gens
+    for name in ("up", "down", "cyclic", "normal", "perm_rows"):
+        assert twice(lambda: getattr(lat, name)) == {}
+    # up, down and cyclic come from one pass over (member, element)
+    relation = vars(lat)["_order_relation"]
+    assert all(a is b for a, b in zip(relation, (lat.up, lat.down, lat.cyclic)))
+    assert set(LATTICE_DERIVED) <= set(vars(lat))
+    assert calls["prepare_table"] == 1  # enumeration reused the group's table
 
 
 def test_dihedral_lattice_sizes():
