@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from latdeg import characters, degrees
 from latdeg.degrees import BudgetExceeded
 from latdeg.groups import (
+    FAMILIES,
     Group,
     OrderCapExceeded,
     builtin_families_up_to,
@@ -74,29 +75,15 @@ class GroupSpecError(ValueError):
         self.position = position
 
 
-class Atom(NamedTuple):
-    family: str
-    params: tuple[int, ...]
-
-    @property
-    def instance(self) -> tuple:
-        """The instance as a group's ``family`` holds it, e.g. ("M", 3, 3)."""
-        return (self.family, *self.params)
-
-    @property
-    def label(self) -> str:
-        return family_label(self.instance)
-
-
 class GroupSpec(NamedTuple):
-    atoms: tuple[Atom, ...]
+    atoms: tuple[tuple, ...]  # family tuples, as a group's ``family`` holds them
 
     @property
     def label(self) -> str:
-        return " x ".join(a.label for a in self.atoms)
+        return " x ".join(map(family_label, self.atoms))
 
     def build(self, cap: int | None = None) -> Group:
-        built = [make_family(a.instance, cap=cap) for a in self.atoms]
+        built = [make_family(family, cap=cap) for family in self.atoms]
         group = built[0]
         for extra in built[1:]:
             group = direct_product(group, extra, cap=cap)
@@ -106,18 +93,18 @@ class GroupSpec(NamedTuple):
         """This spec, once it has raised what :meth:`build` would raise
         (a parameter outside its family, an order above the cap), in the
         same order; no table is built."""
-        orders = [check_family(a.instance, cap)[1] for a in self.atoms]
+        orders = [check_family(family, cap)[1] for family in self.atoms]
         order = orders[0]
         for k in range(1, len(orders)):
             order *= orders[k]
-            check_cap(order, cap, " x ".join(a.label for a in self.atoms[: k + 1]))
+            check_cap(order, cap, " x ".join(map(family_label, self.atoms[: k + 1])))
         return self
 
 
 def parse_group_spec(text: str) -> GroupSpec:
     """Parse ``atom ('x' atom)*`` with positions in error messages."""
     pos = 0
-    atoms: list[Atom] = []
+    atoms: list[tuple] = []
 
     def skip_ws():
         nonlocal pos
@@ -137,10 +124,16 @@ def parse_group_spec(text: str) -> GroupSpec:
         m = re.match(r"\d+", text[pos:])
         if not m:
             raise GroupSpecError("expected an integer", pos)
+        try:
+            value = int(m.group())
+        except ValueError:  # more digits than int() converts
+            raise GroupSpecError(
+                f"integer literal of {len(m.group())} digits is too long", pos
+            ) from None
         pos += m.end()
-        return int(m.group())
+        return value
 
-    def read_atom() -> Atom:
+    def read_atom() -> tuple:
         nonlocal pos
         skip_ws()
         if pos >= len(text):
@@ -149,21 +142,16 @@ def parse_group_spec(text: str) -> GroupSpec:
         if not m:
             raise GroupSpecError(f"unexpected character {text[pos]!r}", pos)
         name = m.group().upper()
-        start = pos
+        if name not in FAMILIES:
+            raise GroupSpecError(f"unknown group family {m.group()!r}", pos)
         pos += m.end()
-        if name == "Q8":
-            return Atom("Q8", ())
-        if name not in ("C", "D", "S", "M"):
-            raise GroupSpecError(f"unknown group family {m.group()!r}", start)
-        expect("(")
-        first = read_int()
-        if name == "M":
-            expect(",")
-            second = read_int()
+        params = []
+        for k in range(FAMILIES[name][0]):
+            expect("," if k else "(")
+            params.append(read_int())
+        if params:
             expect(")")
-            return Atom("M", (first, second))
-        expect(")")
-        return Atom(name, (first,))
+        return (name, *params)
 
     atoms.append(read_atom())
     while True:
@@ -488,7 +476,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     f"--all-up-to must be at least 1, got {args.all_up_to}"
                 )
             specs = [
-                GroupSpec((Atom(family[0], family[1:]),))
+                GroupSpec((family,))
                 for family in builtin_families_up_to(args.all_up_to, cap=cap)
             ]
         else:

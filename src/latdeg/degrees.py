@@ -59,16 +59,18 @@ def d_multi(g: Group, n: int, *, within: Subgroup | None = None) -> Fraction:
 
     The count is the fold :func:`ssd_multi` runs over subgroups, here
     over commutator values, so it costs about |values| * |K| per bracket
-    rather than |K|^(n+1).  ``TUPLE_BUDGET``, read at call time, still
-    bounds the |K|^(n+1) tuples the degree ranges over, so the inputs
-    that raise ``BudgetExceeded`` are the same as under direct
-    enumeration.
+    rather than |K|^(n+1).  It shares the depth cap of :func:`ssd_multi`:
+    n above MULTI_N_CAP raises ``BudgetExceeded`` before any count is
+    formed.  ``TUPLE_BUDGET``, read at call time, still bounds the
+    |K|^(n+1) tuples the degree ranges over.
 
     ``within`` restricts the tuple entries to a subgroup of ``g`` (the
     commutator values then stay inside it).
     """
     if n < 1:
         raise ValueError(f"tuple degree needs n >= 1, got {n}")
+    if n > MULTI_N_CAP:
+        raise BudgetExceeded(f"n = {n} exceeds the cap {MULTI_N_CAP}")
     if within is not None and within.group is not g:
         raise ValueError("within is a subgroup of another group")
     size = within.size if within is not None else g.order

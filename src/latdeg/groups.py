@@ -16,7 +16,7 @@ import math
 import operator
 import os
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from latdeg import _kernels as kernels
 from latdeg._kernels import bit_positions
@@ -24,6 +24,9 @@ from latdeg.arith import is_prime
 
 DEFAULT_ORDER_CAP = 200
 ORDER_CAP_ENV = "LATDEG_ORDER_CAP"
+# an M(p, m) whose bit lengths show p^m >= 2^_POWER_BITS (about 10^5178) is
+# refused without forming p^m (seconds for a large m); its order reads p^m
+_POWER_BITS = 17_200
 
 
 class OrderCapExceeded(ValueError):
@@ -60,7 +63,11 @@ def check_cap(order: int, cap: int | None, what: str) -> None:
     effective cap (see :func:`order_cap`)."""
     limit = order_cap(cap)
     if order > limit:
-        raise OrderCapExceeded(f"{what} has order {order}, above the cap {limit}")
+        try:
+            text = str(order)
+        except ValueError:  # more digits than int-to-str conversion allows
+            text = f"of {order.bit_length()} bits"
+        raise OrderCapExceeded(f"{what} has order {text}, above the cap {limit}")
 
 
 def _parameter(value, what: str) -> int:
@@ -74,13 +81,26 @@ def _parameter(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
-def _family(family: tuple) -> tuple[tuple, int]:
+def _builder(family: tuple):
+    """The constructor of ``family``; ValueError for an unknown family or
+    parameter count."""
+    kind, *params = family
+    arity, make = FAMILIES.get(kind, (None, None))
+    if arity != len(params):
+        raise ValueError(f"unknown group family {family!r}")
+    return make
+
+
+def _family(family: tuple, limit: int) -> tuple[tuple, int]:
     """(``family`` with its parameters converted to ints, its order), for
     the built-in family instance ``family`` given as a group's ``family``
     holds it: ("C", n), ("D", n), ("S", n), ("Q8",) or ("M", p, m).
-    ValueError, naming the parameter, if a parameter is not an integer
-    (bools included) or is outside the family; every family constructor
-    checks its parameters here."""
+    ValueError for an unknown family or parameter count, or, naming the
+    parameter, if a parameter is not an integer (bools included) or is
+    outside the family; every family constructor checks its parameters
+    here.  An M(p, m) far above the cap ``limit`` is refused here, without
+    forming p^m."""
+    _builder(family)
     kind, *params = family
     if kind == "C":
         (n,) = params
@@ -104,14 +124,17 @@ def _family(family: tuple) -> tuple[tuple, int]:
         p, m = params
         p = _parameter(p, "modular group parameter p")
         m = _parameter(m, "modular group parameter m")
-        if not is_prime(p):
+        # the order p^m is above p, so a p above the cap is refused by the
+        # cap, prime or not: trial division of a large p would not end
+        if p <= limit and not is_prime(p):
             raise ValueError(f"modular group parameter p must be prime, got {p}")
         if m < 3:
             raise ValueError(f"modular group parameter m must be at least 3, got {m}")
+        if (p.bit_length() - 1) * m >= max(_POWER_BITS, limit.bit_length()):
+            label = f"M({p},{m})"
+            raise OrderCapExceeded(f"{label} has order {p}^{m}, above the cap {limit}")
         return ("M", p, m), p**m
-    if kind == "Q8" and not params:
-        return ("Q8",), 8
-    raise ValueError(f"unknown group family {family!r}")
+    return ("Q8",), 8
 
 
 def family_label(family: tuple) -> str:
@@ -123,28 +146,18 @@ def family_label(family: tuple) -> str:
 def check_family(family: tuple, cap: int | None = None) -> tuple[tuple, int]:
     """(``family`` with its parameters converted to ints, its order),
     after the checks its constructor makes before it builds a table:
-    ValueError for parameters outside the family (see :func:`_family`),
-    OrderCapExceeded above the cap.  Each family constructor builds,
-    labels and records its group from the ints."""
-    family, order = _family(family)
-    check_cap(order, cap, family_label(family))
+    ValueError for an unknown family or a parameter outside it (see
+    :func:`_family`), OrderCapExceeded above the cap.  Each family
+    constructor builds, labels and records its group from the ints."""
+    limit = order_cap(cap)
+    family, order = _family(family, limit)
+    check_cap(order, limit, family_label(family))
     return family, order
 
 
 def make_family(family: tuple, *, cap: int | None = None) -> Group:
-    """The built-in family instance ``family`` (see :func:`_family`)."""
-    kind, *params = family
-    if kind == "C":
-        return make_cyclic(*params, cap=cap)
-    if kind == "D":
-        return make_dihedral(*params, cap=cap)
-    if kind == "S":
-        return make_symmetric(*params, cap=cap)
-    if kind == "M":
-        return make_modular(*params, cap=cap)
-    if kind == "Q8" and not params:
-        return make_quaternion(cap=cap)
-    raise ValueError(f"unknown group family {family!r}")
+    """The built-in family instance ``family`` (see :func:`check_family`)."""
+    return _builder(family)(*family[1:], cap=cap)
 
 
 def builtin_families_up_to(max_order: int, *, cap: int | None = None) -> list[tuple]:
@@ -177,7 +190,7 @@ def builtin_families_up_to(max_order: int, *, cap: int | None = None) -> list[tu
                 families.append(("M", p, m))
                 m += 1
         p += 1
-    families.sort(key=lambda f: (_family(f)[1], family_label(f)))
+    families.sort(key=lambda f: (_family(f, max_order)[1], family_label(f)))
     return families
 
 
@@ -219,13 +232,6 @@ class Subgroup:
 
     def members(self) -> list[int]:
         return bit_positions(self.mask)
-
-    def __contains__(self, element: int) -> bool:
-        return 0 <= element < self.group.order and bool(self.mask >> element & 1)
-
-    def is_subset_of(self, other: "Subgroup") -> bool:
-        same_group(self, other)
-        return self.mask & ~other.mask == 0
 
     @property
     def is_trivial(self) -> bool:
@@ -339,21 +345,6 @@ class Group:
         rows of ``table`` and holds the group's one list of inverses."""
         return kernels.prepare_table(self.table)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def commutator(self, x: int, y: int) -> int:
-        """x^-1 * y^-1 * x * y."""
-        t, inv = self.table, self.ktab.inv
-        return t[t[t[inv[x]][inv[y]]][x]][y]
-
-    def order_of(self, a: int) -> int:
-        k, x = 1, a
-        while x != 0:
-            x = self.table[x][a]
-            k += 1
-        return k
-
     @cached_property
     def is_abelian(self) -> bool:
         n = self.order
@@ -370,19 +361,6 @@ class Group:
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         """Partition of element indices into conjugation orbits."""
         return self._classes
-
-    def closure(self, gens: Iterable[int]) -> Subgroup:
-        """Smallest subgroup containing ``gens``; empty gens give the
-        trivial subgroup."""
-        mask = 1
-        for g in gens:
-            if not 0 <= g < self.order:
-                raise ValueError(f"element index {g} out of range")
-            mask |= 1 << g
-        return Subgroup(kernels.closure_mask(self.ktab, mask), self)
-
-    def trivial_subgroup(self) -> Subgroup:
-        return Subgroup(1, self)
 
     def full_subgroup(self) -> Subgroup:
         return Subgroup((1 << self.order) - 1, self)
@@ -533,6 +511,17 @@ def make_symmetric(n: int, *, cap: int | None = None) -> Group:
                 table[c] = tuple(map(row_s.__getitem__, table[a]))
                 reached.append(c)
     return Group(table, f"S({n})", family=("S", n))
+
+
+# name -> (number of parameters, constructor) of each built-in family; the
+# CLI parser reads the names and counts here, and make_family dispatches
+FAMILIES = {
+    "C": (1, make_cyclic),
+    "D": (1, make_dihedral),
+    "S": (1, make_symmetric),
+    "Q8": (0, make_quaternion),
+    "M": (2, make_modular),
+}
 
 
 def direct_product(g1: Group, g2: Group, *, cap: int | None = None) -> Group:

@@ -47,7 +47,7 @@ class Lattice:
         self.index_of: dict[int, int] = {s.mask: i for i, s in enumerate(ordered)}
         if len(self.index_of) != len(ordered):
             raise ValueError("duplicate subgroups in lattice")
-        if ordered[0].size != 1 or ordered[-1].size != n:
+        if not ordered or ordered[0].size != 1 or ordered[-1].size != n:
             raise ValueError("lattice must contain the trivial and full subgroups")
 
     def __len__(self) -> int:

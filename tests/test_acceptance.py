@@ -34,7 +34,9 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from latdeg import _kernels as kernels
 from latdeg import (
+    Subgroup,
     claims,
     class_count,
     cli,
@@ -227,14 +229,14 @@ def test_criterion_5_multiplicativity():
     lat_p = enumerate_subgroups(prod)
     lat_s3 = enumerate_subgroups(s3)
     lat_c5 = enumerate_subgroups(c5)
-    t = next(a for a in range(6) if s3.order_of(a) == 2)
-    a_sub = s3.closure([t])
+    t = next(a for a in range(1, 6) if s3.table[a][a] == 0)
+    a_sub = lat_s3[lat_s3.cyclic[t]]
     b_sub = c5.full_subgroup()
     mask = 0
     for x in a_sub.members():
         for y in b_sub.members():
             mask |= 1 << (x * 5 + y)
-    ab = prod.closure([i for i in range(prod.order) if mask >> i & 1])
+    ab = Subgroup(kernels.closure_mask(prod.ktab, mask), prod)
     if ab.mask != mask:
         failures.append(("A x B", "product set is not a subgroup"))
     for n in (1, 2):

@@ -139,7 +139,7 @@ def test_c16_reports_a_derived_subgroup_that_is_not_cyclic(monkeypatch):
     a4 = _alternating_4()
     derived = a4.derived_series()[1]
     assert a4.is_metabelian and derived.size == 4
-    assert all(a4.order_of(x) <= 2 for x in derived.members())  # V4
+    assert all(a4.table[x][x] == 0 for x in derived.members())  # V4
     assert len(enumerate_subgroups(a4)) == 10
     res = claims.run_claim("C16", a4)
     assert [r.note for r in res] == ["lattice size is not sigma+tau of |G|/2"]

@@ -373,13 +373,15 @@ def test_equal_specs_compare_equal():
     spec = cli.parse_group_spec("d(3)x C(5)")
     same = cli.parse_group_spec(" D( 3 ) X c(5) ")
     assert spec == same and hash(spec) == hash(same)
-    assert spec.atoms == (cli.Atom("D", (3,)), cli.Atom("C", (5,)))
+    # an atom is the family tuple that the group it builds records
+    assert spec.atoms == (("D", 3), ("C", 5))
+    assert [g.family for g in spec.build().factors] == list(spec.atoms)
     assert spec != cli.parse_group_spec("C(5) x D(3)")
     assert cli.parse_group_spec("M(3,3)") != cli.parse_group_spec("M(3,4)")
     with pytest.raises(AttributeError):
         spec.atoms = ()
-    with pytest.raises(AttributeError):
-        spec.atoms[0].family = "C"
+    with pytest.raises(TypeError):
+        spec.atoms[0][0] = "C"
 
 
 def test_out_file(tmp_path):
@@ -435,6 +437,24 @@ def test_unwritable_out_exits_2(argv, tmp_path, capsys):
     assert run_cli([*argv, "--out", str(target)]) == (2, "")
     assert str(target) in _one_line_error(capsys)
     assert not target.exists()
+
+
+@pytest.mark.parametrize("command", [["degrees"], ["verify", "--claims", "C1"]])
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("M(2,100000)", "M(2,100000) has order 2^100000, above the cap 200"),
+        ("M(3,10000000)", "M(3,10000000) has order 3^10000000, above the cap 200"),
+        ("C(" + "9" * 5000 + ")", "integer literal of 5000 digits is too long "
+         "(at position 2)"),
+    ],
+    ids=["M-2-huge", "M-3-huge", "5000-digits"],
+)
+def test_a_huge_family_parameter_gets_one_error_line(command, text, error, capsys):
+    # the order is not formed (M), and a literal int() refuses is a parse error
+    code = 2 if text.startswith("C(") else 3
+    assert run_cli([*command, "-g", text]) == (code, "")
+    assert _one_line_error(capsys) == f"error: {error}\n"
 
 
 def test_verify_above_the_cap_fails_before_any_group_runs(monkeypatch, capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from latdeg import _kernels as kernels
 from latdeg import (
     BudgetExceeded,
     bracket_table,
@@ -139,12 +140,11 @@ def test_bracket_table_properties(builtin16):
         for j in range(len(lat)):
             assert table[0][j] == 0
         for i in range(len(lat)):
-            join_i = set(lat[i].members())
             for j in range(len(lat)):
                 assert table[i][j] == table[j][i]
                 # [L_i, L_j] lies inside the join of L_i and L_j
-                join = g.closure(join_i | set(lat[j].members()))
-                assert lat[table[i][j]].is_subset_of(join)
+                join = kernels.closure_mask(g.ktab, lat[i].mask | lat[j].mask)
+                assert lat[table[i][j]].mask & ~join == 0
 
 
 def test_bracket_entries_match_commutator_subgroup(builtin16):
@@ -222,12 +222,23 @@ def test_ssd_multi_n_cap():
         ssd_multi(lat, s3.full_subgroup(), 5)
 
 
+def test_d_multi_shares_the_depth_cap():
+    # refused before |G|^(n+1) is formed (10^5 would not print) or the fold
+    # runs n times
+    for group, n in ((make_cyclic(2), 10**5), (make_cyclic(1), 10**6)):
+        with pytest.raises(BudgetExceeded) as e:
+            d_multi(group, n)
+        assert str(e.value) == f"n = {n} exceeds the cap 4"
+    assert d_multi(make_cyclic(2), 4) == 1
+
+
 def test_ssd_multi_rejects_non_member():
     from latdeg import Subgroup
 
     s3 = make_symmetric(3)
     lat = enumerate_subgroups(s3)
-    rot = next(a for a in range(6) if s3.order_of(a) == 3)
+    # S(3) has no element of order above 3
+    rot = next(a for a in range(1, 6) if s3.table[a][a] != 0)
     not_closed = Subgroup(1 | 1 << rot, s3)
     with pytest.raises(ValueError):
         ssd_multi(lat, not_closed, 1)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 import oracles
+from latdeg import _kernels as kernels
 from latdeg import (
     Group,
     OrderCapExceeded,
@@ -22,7 +23,12 @@ from latdeg import (
     ssd_group,
 )
 from latdeg.arith import tau
-from latdeg.groups import builtin_families_up_to, make_family
+from latdeg.groups import builtin_families_up_to, check_family, make_family
+
+
+def _closure(g, elements) -> Subgroup:
+    """<elements>, by the kernel the lattice enumeration runs."""
+    return Subgroup(kernels.closure_mask(g.ktab, sum(1 << e for e in set(elements))), g)
 
 
 def test_cyclic_basics():
@@ -159,28 +165,31 @@ def test_quotient():
     assert q.order == 2 and q.is_abelian
     q.validate()
     assert quotient(s3.full_subgroup()).order == 1
-    reflection = next(a for a in range(6) if s3.order_of(a) == 2)
+    reflection = next(a for a in range(1, 6) if s3.table[a][a] == 0)
     with pytest.raises(ValueError):
-        quotient(s3.closure([reflection]))
+        quotient(_closure(s3, [reflection]))
 
 
 def test_commutator_examples():
     s3 = make_symmetric(3)
+    comm = s3.ktab.commutators()
     for x in range(6):
-        assert s3.commutator(x, x) == 0
-        assert s3.commutator(x, 0) == 0 and s3.commutator(0, x) == 0
+        assert comm[x][x] == 0
+        assert comm[x][0] == 0 and comm[0][x] == 0
     # a transposition and a 3-cycle have commutator equal to the
-    # 3-cycle squared
-    x = next(a for a in range(6) if s3.order_of(a) == 2)
-    y = next(a for a in range(6) if s3.order_of(a) == 3)
-    assert s3.commutator(x, y) == s3.mul(y, y) != 0
+    # 3-cycle squared; S(3) has no element of order above 3
+    x = next(a for a in range(1, 6) if s3.table[a][a] == 0)
+    y = next(a for a in range(1, 6) if s3.table[a][a] != 0)
+    assert comm[x][y] == s3.table[y][y] != 0
 
 
 def test_commutator_iff_table_symmetric():
     d8 = make_dihedral(4)
+    comm, t = d8.ktab.commutators(), d8.table
     for x in range(8):
         for y in range(8):
-            assert (d8.commutator(x, y) == 0) == (d8.mul(x, y) == d8.mul(y, x))
+            assert comm[x][y] == oracles.commutator(t, x, y)
+            assert (comm[x][y] == 0) == (t[x][y] == t[y][x])
 
 
 def test_conjugacy_classes():
@@ -193,12 +202,11 @@ def test_conjugacy_classes():
 
 def test_closure():
     d8 = make_dihedral(4)
-    assert d8.closure([]).size == 1
-    rot = next(a for a in range(8) if d8.order_of(a) == 4)
-    assert d8.closure([rot]).size == 4
+    assert _closure(d8, []).size == 1
+    # element 1 is the rotation y, of order 4
+    assert _closure(d8, [1]).size == 4
     s3 = make_symmetric(3)
-    comms = {s3.commutator(x, y) for x in range(6) for y in range(6)}
-    derived = s3.closure(comms)
+    derived = _closure(s3, set().union(*s3.ktab.commutators()))
     assert derived.size == 3
     assert derived == s3.derived_series()[1]
 
@@ -219,12 +227,17 @@ def test_all_builtins_satisfy_table_axioms(builtin24):
 
 
 def test_element_orders_divide_group_order(builtin24):
-    for g, _ in builtin24:
+    for g, lat in builtin24:
         if g.order > 16:
             continue
         for a in range(g.order):
-            assert g.order % g.closure([a]).size == 0
-            assert g.order_of(a) == g.closure([a]).size
+            size = lat[lat.cyclic[a]].size
+            assert g.order % size == 0
+            # the order of a: the first k with a^k the identity
+            k, x = 1, a
+            while x != 0:
+                k, x = k + 1, g.table[x][a]
+            assert k == size == _closure(g, [a]).size
 
 
 def test_class_sizes_divide_order(builtin24):
@@ -238,7 +251,7 @@ def test_class_sizes_divide_order(builtin24):
 def test_closure_idempotent(builtin16):
     for g, lat in builtin16:
         for sub in lat.subgroups:
-            assert g.closure(sub.members()).mask == sub.mask
+            assert kernels.closure_mask(g.ktab, sub.mask) == sub.mask
 
 
 def test_closure_matches_oracle():
@@ -246,7 +259,7 @@ def test_closure_matches_oracle():
         for a in range(g.order):
             for b in range(g.order):
                 expected = oracles.closure(g.table, {a, b})
-                assert set(g.closure([a, b]).members()) == set(expected)
+                assert set(_closure(g, [a, b]).members()) == set(expected)
 
 
 def test_conjugacy_matches_oracle():
@@ -259,7 +272,7 @@ def test_subgroups_are_equal_by_mask_and_group_and_immutable():
     # C(6) and D(3) have the same order, so one mask names a subset of
     # each; only the group tells the two subgroups apart
     c6, d3 = make_cyclic(6), make_dihedral(3)
-    h = c6.closure([3])
+    h = _closure(c6, [3])
     assert (h.mask, h.group, h.size) == (0b1001, c6, 2)
     assert h == Subgroup(0b1001, c6) and hash(h) == hash(Subgroup(0b1001, c6))
     assert h != Subgroup(0b1001, d3) and h != c6.full_subgroup()
@@ -396,3 +409,38 @@ def test_builtin_families_above_the_cap_fail_at_the_first_cyclic_group():
             builtin_families_up_to(max_order, cap=cap)
         limit = cap or 200
         assert str(e.value) == f"C({first}) has order {first}, above the cap {limit}"
+
+
+@pytest.mark.parametrize(
+    "family",
+    [("C",), ("C", 1, 2), ("Q8", 1), ("M", 3), ("S", 3, 3), ("X", 3), ("c", 3)],
+    ids=repr,
+)
+def test_an_unknown_family_or_parameter_count_is_refused(family):
+    # every family and its parameter count come from one table, so a wrong
+    # count is refused as an unknown family, not by the constructor's call
+    for call in (make_family, check_family):
+        with pytest.raises(ValueError) as e:
+            call(family)
+        assert str(e.value) == f"unknown group family {family!r}"
+
+
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        (("M", 3, 10**7), "M(3,10000000) has order 3^10000000, above the cap 200"),
+        (("M", 2, 10**5), "M(2,100000) has order 2^100000, above the cap 200"),
+        # prime or not, a p above the cap is not tested by trial division
+        (("M", 2**89 - 1, 3), f"M({2**89 - 1},3) has order {(2**89 - 1) ** 3}, "
+         "above the cap 200"),
+        (("M", 4000, 3), "M(4000,3) has order 64000000000, above the cap 200"),
+        # 2n has 4,301 digits, more than str() writes out
+        (("D", 10**4300 - 1), f"D({10**4300 - 1}) has order of 14286 bits, "
+         "above the cap 200"),
+    ],
+    ids=["M-3-huge", "M-2-huge", "M-mersenne-89", "M-composite-p", "D-4300-nines"],
+)
+def test_an_order_far_above_the_cap_is_refused_at_once(family, message):
+    with pytest.raises(OrderCapExceeded) as e:
+        check_family(family)
+    assert str(e.value) == message

@@ -10,6 +10,7 @@ import latdeg
 import oracles
 from latdeg import _kernels as kernels
 from latdeg import (
+    Group,
     Lattice,
     OrderCapExceeded,
     Subgroup,
@@ -78,7 +79,8 @@ PUBLIC_API = [
 
 
 def _sub(g, members):
-    return g.closure(members)
+    """<members>, by the kernel the lattice enumeration runs."""
+    return Subgroup(kernels.closure_mask(g.ktab, sum(1 << e for e in set(members))), g)
 
 
 def _centralizer(k, h):
@@ -95,6 +97,53 @@ def test_public_api_names():
     assert sorted(latdeg.__all__) == PUBLIC_API
     for name in PUBLIC_API:
         assert hasattr(latdeg, name)
+
+
+# the public members of the core classes, with the special methods each
+# defines itself
+CLASS_MEMBERS = {
+    Group: [
+        "__init__", "__repr__", "conjugacy_classes", "derived_series",
+        "full_subgroup", "is_abelian", "is_metabelian", "is_solvable", "ktab",
+        "validate",
+    ],
+    Subgroup: [
+        "__delattr__", "__eq__", "__hash__", "__init__", "__repr__",
+        "__setattr__", "bitstring", "group", "is_trivial", "mask", "members",
+        "size",
+    ],
+    Lattice: [
+        "__getitem__", "__init__", "__iter__", "__len__", "brackets",
+        "class_of", "cyclic", "down", "index", "join", "normal", "perm_rows",
+        "phi_rows", "up",
+    ],
+}
+
+
+def test_public_members_of_the_core_classes():
+    # a member joins these classes only by changing this list, so a helper
+    # that only the tests call does not come back unnoticed
+    for cls, names in CLASS_MEMBERS.items():
+        own = [n for n, v in vars(cls).items() if n.startswith("__") and callable(v)]
+        public = [n for n in dir(cls) if not n.startswith("_")]
+        assert sorted(own + public) == names, cls.__name__
+
+
+@pytest.mark.parametrize(
+    "members, message",
+    [
+        ([], "lattice must contain the trivial and full subgroups"),
+        ([1], "lattice must contain the trivial and full subgroups"),
+        ([0b111111], "lattice must contain the trivial and full subgroups"),
+        ([1, 1, 0b111111], "duplicate subgroups in lattice"),
+    ],
+    ids=["empty", "no-full", "no-trivial", "duplicate"],
+)
+def test_lattice_constructor_refuses_an_incomplete_member_list(members, message):
+    s3 = make_symmetric(3)
+    with pytest.raises(ValueError) as e:
+        Lattice(s3, [Subgroup(mask, s3) for mask in members])
+    assert str(e.value) == message
 
 
 def test_no_function_takes_both_a_group_and_a_lattice():
@@ -209,7 +258,7 @@ def test_join_completeness(builtin16):
         masks = set(lat.index_of)
         for i, a in enumerate(lat.subgroups):
             for b in lat.subgroups[i:]:
-                assert g.closure(set(a.members()) | set(b.members())).mask in masks
+                assert kernels.closure_mask(g.ktab, a.mask | b.mask) in masks
 
 
 def test_enumeration_matches_generator_oracle(builtin24):
@@ -255,7 +304,7 @@ def test_permutes_iff_product_is_subgroup(builtin16):
 def test_commutator_subgroup_examples():
     s3 = make_symmetric(3)
     assert commutator_subgroup(s3.full_subgroup(), s3.full_subgroup()).size == 3
-    assert commutator_subgroup(s3.full_subgroup(), s3.trivial_subgroup()).size == 1
+    assert commutator_subgroup(s3.full_subgroup(), Subgroup(1, s3)).size == 1
     q8 = make_quaternion()
     i_sub = _sub(q8, [1])
     j_sub = _sub(q8, [4])
@@ -311,8 +360,8 @@ def test_permutes_without_trivial_bracket_in_modular_27():
     ]
     assert witnesses
     # the two presentation generators are such a pair
-    x = m27.closure([1])
-    y = m27.closure([9])
+    x = _sub(m27, [1])
+    y = _sub(m27, [9])
     assert x.size == 9 and y.size == 3
     assert permutes(x, y)
     assert commutator_subgroup(x, y).size > 1
@@ -323,7 +372,7 @@ def test_centralizer_examples():
     lat = enumerate_subgroups(s3)
     a3 = next(s for s in lat.subgroups if s.size == 3)
     full = s3.full_subgroup()
-    assert _centralizer(full, s3.trivial_subgroup()) == full
+    assert _centralizer(full, Subgroup(1, s3)) == full
     assert _centralizer(full, a3) == a3
     q8 = make_quaternion()
     i_sub = _sub(q8, [1])
@@ -345,7 +394,7 @@ def test_centralizer_is_intersection_of_element_centralizers(builtin16):
                 )
                 inter = k.mask
                 for a in h.members():
-                    inter &= _centralizer(k, g.closure([a])).mask
+                    inter &= _centralizer(k, _sub(g, [a])).mask
                 assert whole.mask == inter
 
 
@@ -460,7 +509,7 @@ def test_subgroups_of_another_group_are_refused():
     # C(6) and D(3) have the same order, and <3> in C(6) has the mask of
     # a member of L(D(3)), so only the subgroup's group tells them apart
     d3, c6 = make_dihedral(3), make_cyclic(6)
-    c = c6.closure([3])
+    c = _sub(c6, [3])
     lat = enumerate_subgroups(d3)
     own = lat[lat.index_of[c.mask]]
     calls = {
@@ -469,7 +518,6 @@ def test_subgroups_of_another_group_are_refused():
         "d_pair": lambda: d_pair(own, c),
         "permutes": lambda: permutes(c, own),
         "commutator_subgroup": lambda: commutator_subgroup(own, c),
-        "Subgroup.is_subset_of": lambda: c.is_subset_of(d3.full_subgroup()),
         "d_multi": lambda: d_multi(d3, 1, within=c6.full_subgroup()),
         "Lattice.index": lambda: lat.index(c),
         "Lattice": lambda: Lattice(d3, list(enumerate_subgroups(c6))),
@@ -493,11 +541,11 @@ def test_membership_errors():
     d4 = make_dihedral(4)
     lat = enumerate_subgroups(s3)
     with pytest.raises(ValueError):
-        ssd_multi(lat, d4.trivial_subgroup(), 1)
+        ssd_multi(lat, Subgroup(1, d4), 1)
     with pytest.raises(ValueError):
         ssd_multi(lat, s3.full_subgroup(), 1, codomain=d4.full_subgroup())
     with pytest.raises(ValueError):
-        permutes(s3.trivial_subgroup(), d4.full_subgroup())
+        permutes(Subgroup(1, s3), d4.full_subgroup())
     # element indices are checked against the lattice's own group
     for element in (-1, s3.order, 7):
         with pytest.raises(ValueError):

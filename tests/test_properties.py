@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -545,3 +546,48 @@ def test_approx12_matches_decimal_half_even(value):
         exact = Decimal(value.numerator) / Decimal(value.denominator)
         expected = exact.quantize(Decimal(1).scaleb(-12), rounding=ROUND_HALF_EVEN)
     assert cli._approx12(value) == f"{expected:f}"
+
+
+# text over the spec grammar's alphabet: family letters, digits in short
+# and long runs (int() converts at most 4,300), parentheses, commas, x and
+# spaces; as well-formed specs, as token soup, and as a spec with a tail
+spec_digits = (
+    st.integers(0, 20).map(str)
+    | st.integers(0, 10**40).map(str)
+    | st.sampled_from([4299, 4300, 4301, 5000]).map("9".__mul__)
+)
+spec_atoms = (
+    st.sampled_from(["Q8", "q8"])
+    | st.builds("{}({})".format, st.sampled_from("CDScds"), spec_digits)
+    | st.builds("{}({},{})".format, st.sampled_from("Mm"), spec_digits, spec_digits)
+)
+spec_tokens = st.sampled_from(
+    ["C", "D", "S", "M", "Q", "Q8", "c", "(", ",", ")", "x", "X", " "]
+) | spec_digits
+well_formed = st.lists(spec_atoms, min_size=1, max_size=3).map(" x ".join)
+soup = st.lists(spec_tokens, max_size=10).map("".join)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=well_formed | soup | st.builds("{}{}".format, well_formed, soup))
+@example(text="M(2,100000)")
+@example(text="M(3,10000000)")
+@example(text="C(" + "9" * 5000 + ")")
+@example(text="D(" + "9" * 4300 + ")")
+@example(text="M(618970019642690137449562111,3)")  # a prime, 2^89 - 1
+def test_any_spec_text_exits_cleanly(text):
+    # a spec the grammar refuses, or with a parameter outside its family,
+    # exits 2 and one above the cap 3, with one error line saying which
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["degrees", "-g", text, "--order-cap", "16"])
+    error = err.getvalue()
+    if code == 0:
+        assert error == "" and json.loads(out.getvalue())
+        return
+    assert out.getvalue() == ""
+    assert error.startswith("error: ") and error.count("\n") == 1, error
+    if code == 2:
+        assert "(at position " in error or " must be " in error, error
+    else:
+        assert code == 3 and error.endswith(", above the cap 16\n"), error
