@@ -20,10 +20,9 @@ from typing import NamedTuple
 
 from latdeg import characters, degrees
 from latdeg.arith import is_prime, sigma, tau
-from latdeg.degrees import DEFAULT_N_MAX, BudgetExceeded
+from latdeg.degrees import DEFAULT_N_MAX
 from latdeg.groups import (
     Group,
-    OrderCapExceeded,
     Subgroup,
     bit_positions,
     builtin_families_up_to,
@@ -176,44 +175,27 @@ def _claim(id: str, kind: str, description: str, applicability: str):
 
 
 def _res(
-    ctx: _Context,
-    claim_id: str,
     instance: str,
     holds: bool,
     lhs,
     rhs,
     *,
     strict: bool | None = None,
+    witness: tuple[str, Subgroup] | None = None,
     witnesses: tuple[str, ...] = (),
     note: str | None = None,
-) -> ClaimResult:
-    return ClaimResult(
-        claim_id=claim_id,
-        group_label=ctx.group.label,
-        instance=instance,
-        applicable=True,
-        holds=holds,
-        lhs=lhs,
-        rhs=rhs,
-        strict_observed=strict,
-        witnesses=witnesses,
-        note=note,
-    )
+) -> tuple:
+    """The fields of an applicable result after its claim id and group;
+    ``witness``, a (name, subgroup) pair, is reported only if the instance
+    fails."""
+    if witness is not None and not holds:
+        name, sub = witness
+        witnesses = (f"{name}={sub.bitstring()}",)
+    return instance, True, holds, lhs, rhs, strict, witnesses, note
 
 
-def _not_applicable(
-    ctx: _Context, claim_id: str, note: str, *, instance: str = ""
-) -> ClaimResult:
-    return ClaimResult(
-        claim_id=claim_id,
-        group_label=ctx.group.label,
-        instance=instance,
-        applicable=False,
-        holds=None,
-        lhs=None,
-        rhs=None,
-        note=note,
-    )
+def _not_applicable(note: str) -> tuple:
+    return "", False, None, None, None, None, (), note
 
 
 @_claim("C1", "iff", "ssd(G) = 1 exactly when G is abelian", "every group")
@@ -221,8 +203,7 @@ def _c1(ctx: _Context):
     value = degrees.ssd_group(ctx.lattice)
     abelian = ctx.group.is_abelian
     holds = (value == 1) == abelian
-    yield _res(ctx, "C1", "", holds, value, Fraction(1),
-               note=f"abelian={abelian}")
+    yield _res("", holds, value, Fraction(1), note=f"abelian={abelian}")
 
 
 @_claim(
@@ -233,12 +214,12 @@ def _c1(ctx: _Context):
 )
 def _c2(ctx: _Context):
     if ctx.group.order == 1:
-        yield _not_applicable(ctx, "C2", "trivial group: both sides equal 1")
+        yield _not_applicable("trivial group: both sides equal 1")
         return
     n = ctx.group.order
     rhs = Fraction(n * n, len(ctx.lattice) ** 2) * ctx.d_pair_sum()
     lhs = degrees.ssd_group(ctx.lattice)
-    yield _res(ctx, "C2", "", lhs < rhs, lhs, rhs, strict=lhs < rhs)
+    yield _res("", lhs < rhs, lhs, rhs, strict=lhs < rhs)
 
 
 @_claim(
@@ -262,12 +243,11 @@ def _c3(ctx: _Context):
     for k_idx, k in enumerate(lat.subgroups):
         bound = Fraction(sum(centralizing[x] for x in k.members()), size * size)
         yield _res(
-            ctx, "C3", f"K=#{k_idx}", sd_value >= bound, sd_value, bound,
-            witnesses=() if sd_value >= bound else (f"K={k.bitstring()}",),
+            f"K=#{k_idx}", sd_value >= bound, sd_value, bound, witness=("K", k)
         )
     lhs = ctx.commuting_sum(holding)
     rhs = sum(h * c for h, c in zip(holding, centralizing))
-    yield _res(ctx, "C3", "sum", lhs >= rhs, lhs, rhs)
+    yield _res("sum", lhs >= rhs, lhs, rhs)
 
 
 def _c4_bound(ctx: _Context, n_idx: int, middle_from_quotient: bool) -> Fraction:
@@ -299,10 +279,8 @@ def _c4(ctx: _Context):
         rhs = _c4_bound(ctx, n_idx, middle_from_quotient=False)
         variant = _c4_bound(ctx, n_idx, middle_from_quotient=True)
         yield _res(
-            ctx, "C4", f"N=#{n_idx}", value >= rhs, value, rhs,
-            witnesses=()
-            if value >= rhs
-            else (f"N={ctx.lattice[n_idx].bitstring()}",),
+            f"N=#{n_idx}", value >= rhs, value, rhs,
+            witness=("N", ctx.lattice[n_idx]),
             note=f"variant with quotient ssd in the middle term "
             f"{'holds' if value >= variant else 'fails'}",
         )
@@ -331,15 +309,12 @@ def _c5(ctx: _Context):
         rhs = Fraction((l_n + l_q - 1) ** 2, len(lat) ** 2)
         unsquared = Fraction((l_n + l_q - 1) ** 2, len(lat))
         yield _res(
-            ctx, "C5", f"N=#{n_idx}", value >= rhs, value, rhs,
-            witnesses=() if value >= rhs else (f"N={sub.bitstring()}",),
+            f"N=#{n_idx}", value >= rhs, value, rhs, witness=("N", sub),
             note=f"single-power denominator variant "
             f"{'holds' if value >= unsquared else 'fails'}",
         )
     if not produced:
-        yield _not_applicable(
-            ctx, "C5", "no normal subgroup with abelian N and abelian quotient"
-        )
+        yield _not_applicable("no normal subgroup with abelian N and abelian quotient")
 
 
 @_claim(
@@ -362,12 +337,9 @@ def _c6(ctx: _Context):
         l_n = lat.down[n_idx].bit_count()
         ssd_n = ctx.ssd_multi(n_idx, 1, diagonal=True)
         rhs = (ssd_n * l_n**2 + 2 * l_n + 1) / len(lat) ** 2
-        yield _res(
-            ctx, "C6", f"N=#{n_idx}", value >= rhs, value, rhs,
-            witnesses=() if value >= rhs else (f"N={sub.bitstring()}",),
-        )
+        yield _res(f"N=#{n_idx}", value >= rhs, value, rhs, witness=("N", sub))
     if not produced:
-        yield _not_applicable(ctx, "C6", "no normal subgroup of prime index")
+        yield _not_applicable("no normal subgroup of prime index")
 
 
 @_claim(
@@ -380,7 +352,7 @@ def _c6(ctx: _Context):
 def _c7(ctx: _Context):
     g = ctx.group
     if g.is_abelian or not g.is_solvable:
-        yield _not_applicable(ctx, "C7", "applies to nonabelian solvable groups")
+        yield _not_applicable("applies to nonabelian solvable groups")
         return
     lat = ctx.lattice
     value = degrees.ssd_group(lat)
@@ -389,10 +361,10 @@ def _c7(ctx: _Context):
     l_d = lat.down[d_idx].bit_count()
     ssd_d = ctx.ssd_multi(d_idx, 1, diagonal=True)
     rhs = (ssd_d * l_d**2 + 2 * l_d + 1) / len(lat) ** 2
-    yield _res(ctx, "C7", f"G'=#{d_idx}", value >= rhs, value, rhs)
+    yield _res(f"G'=#{d_idx}", value >= rhs, value, rhs)
     if g.is_metabelian:
         rhs2 = Fraction(l_d**2 + 2 * l_d + 1, len(lat) ** 2)
-        yield _res(ctx, "C7", "metabelian", value >= rhs2, value, rhs2)
+        yield _res("metabelian", value >= rhs2, value, rhs2)
 
 
 @_claim(
@@ -413,20 +385,17 @@ def _c8(ctx: _Context):
         dom = bit_positions(below)
         l_h = len(dom)
         lhs = Fraction(l_h**2, size**2) * ctx.ssd_multi(h_idx, 1, diagonal=True)
-        yield _res(ctx, "C8", f"H=#{h_idx}", lhs <= ssd_g, lhs, ssd_g)
+        yield _res(f"H=#{h_idx}", lhs <= ssd_g, lhs, ssd_g)
         sd_h = ctx.sd_below(h_idx)
         yield _res(
-            ctx, "C8", f"H=#{h_idx}|sd-chain", sd_h <= sd_g, sd_h, sd_g,
-            witnesses=() if sd_h <= sd_g else (f"H={h.bitstring()}",),
+            f"H=#{h_idx}|sd-chain", sd_h <= sd_g, sd_h, sd_g, witness=("H", h)
         )
         # sum over L <= H of |C_M(L)| counts each x in M once per member
         # L <= H inside C_G(x)
         inside = {x: (rows[lat.cyclic[x]] & below).bit_count() for x in h.members()}
         for m_idx in dom:
             bound = Fraction(sum(inside[x] for x in lat[m_idx].members()), size**2)
-            yield _res(
-                ctx, "C8", f"H=#{h_idx},M=#{m_idx}", bound <= sd_h, bound, sd_h
-            )
+            yield _res(f"H=#{h_idx},M=#{m_idx}", bound <= sd_h, bound, sd_h)
 
 
 def _coprime_factors(g: Group) -> tuple[list[Group] | None, str | None]:
@@ -450,13 +419,13 @@ def _coprime_factors(g: Group) -> tuple[list[Group] | None, str | None]:
 def _c9(ctx: _Context):
     factors, reason = ctx.coprime_factors
     if factors is None:
-        yield _not_applicable(ctx, "C9", reason)
+        yield _not_applicable(reason)
         return
     lhs = degrees.ssd_group(ctx.lattice)
     rhs = Fraction(1)
     for flat in factors:
         rhs *= degrees.ssd_group(flat)
-    yield _res(ctx, "C9", f"factors={len(factors)}", lhs == rhs, lhs, rhs)
+    yield _res(f"factors={len(factors)}", lhs == rhs, lhs, rhs)
 
 
 @_claim(
@@ -472,9 +441,8 @@ def _c10(ctx: _Context):
         for n in range(1, ctx.n_max):
             lhs, rhs = values[n - 1], values[n]
             yield _res(
-                ctx, "C10", f"H=#{h_idx},n={n}->{n + 1}",
-                lhs >= rhs, lhs, rhs, strict=lhs > rhs,
-                witnesses=() if lhs >= rhs else (f"H={h.bitstring()}",),
+                f"H=#{h_idx},n={n}->{n + 1}", lhs >= rhs, lhs, rhs,
+                strict=lhs > rhs, witness=("H", h),
             )
 
 
@@ -493,13 +461,10 @@ def _c11(ctx: _Context):
         for n in range(1, ctx.n_max + 1):
             lhs = ctx.ssd_multi(h_idx, n)
             rhs = diag[n]
-            yield _res(
-                ctx, "C11", f"H=#{h_idx},n={n}", lhs <= rhs, lhs, rhs,
-                witnesses=() if lhs <= rhs else (f"H={h.bitstring()}",),
-            )
+            yield _res(f"H=#{h_idx},n={n}", lhs <= rhs, lhs, rhs, witness=("H", h))
     for n in range(1, ctx.n_max + 1):
-        yield _res(ctx, "C11", f"diag,n={n}", diag[n] <= ssd_g, diag[n], ssd_g)
-    yield _res(ctx, "C11", "ssd<=sd", ssd_g <= sd_g, ssd_g, sd_g)
+        yield _res(f"diag,n={n}", diag[n] <= ssd_g, diag[n], ssd_g)
+    yield _res("ssd<=sd", ssd_g <= sd_g, ssd_g, sd_g)
 
 
 @_claim(
@@ -512,7 +477,7 @@ def _c11(ctx: _Context):
 def _c12(ctx: _Context):
     factors, reason = ctx.coprime_factors
     if factors is None:
-        yield _not_applicable(ctx, "C12", reason)
+        yield _not_applicable(reason)
         return
     depths = range(1, ctx.n_max + 1)
 
@@ -534,9 +499,7 @@ def _c12(ctx: _Context):
                 for n in depths:
                     lhs = ctx.ssd_multi(ab, n)
                     rhs = values1[n - 1] * values2[i2][n - 1]
-                    yield _res(
-                        ctx, "C12", f"A=#{i1},B=#{i2},n={n}", lhs == rhs, lhs, rhs
-                    )
+                    yield _res(f"A=#{i1},B=#{i2},n={n}", lhs == rhs, lhs, rhs)
     else:
         # with more than two factors, check the full product per depth
         full = len(ctx.lattice) - 1
@@ -546,7 +509,7 @@ def _c12(ctx: _Context):
             rhs = Fraction(1)
             for per_depth in values:
                 rhs *= per_depth[n - 1]
-            yield _res(ctx, "C12", f"full,n={n}", lhs == rhs, lhs, rhs)
+            yield _res(f"full,n={n}", lhs == rhs, lhs, rhs)
 
 
 @_claim(
@@ -564,14 +527,6 @@ def _c13(ctx: _Context):
         l_h = len(dom)
         for n in range(1, ctx.n_max + 1):
             e = n + 1
-            cost = sum(lat[k].size ** e for k in dom)
-            if cost > degrees.TUPLE_BUDGET:
-                yield _not_applicable(
-                    ctx, "C13",
-                    f"skipped: {cost} tuple evaluations exceed the budget",
-                    instance=f"H=#{h_idx},n={n}",
-                )
-                continue
             lhs = ctx.ssd_multi(h_idx, n, diagonal=True)
             # d_n(K, K) = good_K / |K|^e with good_K an integer, so
             # |H|^e times the sum of d_n(K, K) is the sum of good_K
@@ -583,9 +538,8 @@ def _c13(ctx: _Context):
                 total += good * (h.size // size) ** e
             rhs = Fraction(total, l_h**e)
             yield _res(
-                ctx, "C13", f"H=#{h_idx},n={n}", lhs < rhs, lhs, rhs,
-                strict=lhs < rhs,
-                witnesses=() if lhs < rhs else (f"H={h.bitstring()}",),
+                f"H=#{h_idx},n={n}", lhs < rhs, lhs, rhs,
+                strict=lhs < rhs, witness=("H", h),
             )
 
 
@@ -605,9 +559,7 @@ def _c14(ctx: _Context):
             lhs = Fraction(l_h ** (n + 1), size ** (n + 1)) * ctx.ssd_multi(
                 h_idx, n, diagonal=True
             )
-            yield _res(
-                ctx, "C14", f"H=#{h_idx},n={n}", lhs <= diag[n], lhs, diag[n]
-            )
+            yield _res(f"H=#{h_idx},n={n}", lhs <= diag[n], lhs, diag[n])
 
 
 @_claim(
@@ -619,12 +571,12 @@ def _c14(ctx: _Context):
 def _c15(ctx: _Context):
     family = ctx.group.family
     if not family or family[0] != "D":
-        yield _not_applicable(ctx, "C15", "not a dihedral family instance")
+        yield _not_applicable("not a dihedral family instance")
         return
     n = family[1]
     rhs = sigma(n) + tau(n)
     size = len(ctx.lattice)
-    yield _res(ctx, "C15", f"n={n}", size == rhs, size, rhs)
+    yield _res(f"n={n}", size == rhs, size, rhs)
 
 
 @_claim(
@@ -638,20 +590,20 @@ def _c16(ctx: _Context):
     g, lat = ctx.group, ctx.lattice
     size = len(lat)
     if g.order % 2 or not g.is_metabelian:
-        yield _not_applicable(ctx, "C16", "needs even order and a metabelian group")
+        yield _not_applicable("needs even order and a metabelian group")
         return
     if size != sigma(g.order // 2) + tau(g.order // 2):
-        yield _not_applicable(ctx, "C16", "lattice size is not sigma+tau of |G|/2")
+        yield _not_applicable("lattice size is not sigma+tau of |G|/2")
         return
     derived = g.derived_series()[1]
     if lat.index(derived) not in lat.cyclic:
-        yield _not_applicable(ctx, "C16", "derived subgroup is not cyclic")
+        yield _not_applicable("derived subgroup is not cyclic")
         return
     mid = sum(r.bit_count() for r in lat.phi_rows)
     lower = Fraction((tau(derived.size) + 1) ** 2, size**2)
     upper = Fraction(g.order**2, size**2) * ctx.d_pair_sum()
-    yield _res(ctx, "C16", "lower", lower <= mid, lower, mid)
-    yield _res(ctx, "C16", "upper", mid <= upper, mid, upper)
+    yield _res("lower", lower <= mid, lower, mid)
+    yield _res("upper", mid <= upper, mid, upper)
 
 
 @_claim("C17", "equality", "xi is constant on conjugacy classes", "every group")
@@ -672,10 +624,7 @@ def _c17(ctx: _Context):
         witnesses.extend(
             f"x={cls[0]},y={other}" for other in cls[1:] if values[other] != first
         )
-    yield _res(
-        ctx, "C17", "", not witnesses, len(witnesses), 0,
-        witnesses=tuple(witnesses),
-    )
+    yield _res("", not witnesses, len(witnesses), 0, witnesses=tuple(witnesses))
 
 
 @_claim(
@@ -687,7 +636,7 @@ def _c17(ctx: _Context):
 def _c18(ctx: _Context):
     violations = characters.equal_generator_invariance(ctx.lattice)
     yield _res(
-        ctx, "C18", "", not violations, len(violations), 0,
+        "", not violations, len(violations), 0,
         witnesses=tuple(f"x={x},y={y}" for x, y in violations),
     )
 
@@ -701,7 +650,7 @@ def _c18(ctx: _Context):
 def _c19(ctx: _Context):
     lhs = characters.class_count(ctx.group)
     rhs = ctx.group.order * degrees.d_group(ctx.group)
-    yield _res(ctx, "C19", "", lhs == rhs, lhs, rhs)
+    yield _res("", lhs == rhs, lhs, rhs)
 
 
 @_claim(
@@ -713,7 +662,7 @@ def _c19(ctx: _Context):
 def _c20(ctx: _Context):
     family = ctx.group.family
     if not family or family[0] != "M":
-        yield _not_applicable(ctx, "C20", "not a modular family instance")
+        yield _not_applicable("not a modular family instance")
         return
     note = None
     if family[1] == 2 and family[2] == 3:
@@ -723,18 +672,15 @@ def _c20(ctx: _Context):
         )
     sd_value = degrees.sd_group(ctx.lattice)
     ssd_value = degrees.ssd_group(ctx.lattice)
-    yield _res(ctx, "C20", "sd", sd_value == 1, sd_value, Fraction(1), note=note)
-    yield _res(
-        ctx, "C20", "ssd", ssd_value < 1, ssd_value, Fraction(1),
-        strict=ssd_value < 1,
-    )
+    yield _res("sd", sd_value == 1, sd_value, Fraction(1), note=note)
+    yield _res("ssd", ssd_value < 1, ssd_value, Fraction(1), strict=ssd_value < 1)
 
 
 def _run_one(claim_id: str, ctx: _Context) -> list[ClaimResult]:
-    try:
-        return list(_RUNNERS[claim_id](ctx))
-    except (BudgetExceeded, OrderCapExceeded) as exc:
-        return [_not_applicable(ctx, claim_id, f"skipped: {exc}")]
+    """The results of one claim on the context's group: its runner yields
+    the fields of each (see :func:`_res`), and the id and label go first."""
+    label = ctx.group.label
+    return [ClaimResult(claim_id, label, *fields) for fields in _RUNNERS[claim_id](ctx)]
 
 
 def run_claim(

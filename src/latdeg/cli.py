@@ -10,8 +10,9 @@ Two subcommands:
 Group specs follow the grammar ``atom ("x" atom)*`` with atoms
 ``C(n)``, ``D(n)``, ``S(n)``, ``Q8``, ``M(p,m)``; family letters are
 case-insensitive and whitespace is ignored.  Exit codes: 0 success,
-1 a verified claim failed, 2 usage/parse/domain error, 3 order cap or
-budget exceeded.  Identical invocations produce byte-identical output.
+1 a verified claim failed, 2 usage/parse/domain error, 3 order cap
+exceeded or ``--n-max`` above the depth cap of 4.  Identical
+invocations produce byte-identical output.
 
 Reports are written by one formatter.  Each record is flattened once,
 every rational to its num/den/approx strings, and the JSON and CSV
@@ -101,6 +102,10 @@ class GroupSpec(NamedTuple):
         return self
 
 
+_INTEGER = re.compile(r"\d+")
+_FAMILY_NAME = re.compile(r"[A-Za-z]+\d*")
+
+
 def parse_group_spec(text: str) -> GroupSpec:
     """Parse ``atom ('x' atom)*`` with positions in error messages."""
     pos = 0
@@ -121,7 +126,7 @@ def parse_group_spec(text: str) -> GroupSpec:
     def read_int() -> int:
         nonlocal pos
         skip_ws()
-        m = re.match(r"\d+", text[pos:])
+        m = _INTEGER.match(text, pos)
         if not m:
             raise GroupSpecError("expected an integer", pos)
         try:
@@ -130,7 +135,7 @@ def parse_group_spec(text: str) -> GroupSpec:
             raise GroupSpecError(
                 f"integer literal of {len(m.group())} digits is too long", pos
             ) from None
-        pos += m.end()
+        pos = m.end()
         return value
 
     def read_atom() -> tuple:
@@ -138,13 +143,13 @@ def parse_group_spec(text: str) -> GroupSpec:
         skip_ws()
         if pos >= len(text):
             raise GroupSpecError("expected a group atom", pos)
-        m = re.match(r"[A-Za-z]+\d*", text[pos:])
+        m = _FAMILY_NAME.match(text, pos)
         if not m:
             raise GroupSpecError(f"unexpected character {text[pos]!r}", pos)
         name = m.group().upper()
         if name not in FAMILIES:
             raise GroupSpecError(f"unknown group family {m.group()!r}", pos)
-        pos += m.end()
+        pos = m.end()
         params = []
         for k in range(FAMILIES[name][0]):
             expect("," if k else "(")
@@ -452,7 +457,8 @@ def _emit(chunks: Iterable[str], out_path: str | None) -> int:
 def cmd_degrees(args: argparse.Namespace) -> int:
     try:
         cap = _settings(args)
-        specs = [parse_group_spec(text) for text in args.group]
+        # every spec is checked before any group is built, as in verify
+        specs = [parse_group_spec(text).check(cap) for text in args.group]
         entries = [_degrees_entry(spec, args.n_max, cap) for spec in specs]
     except ValueError as exc:
         return _failure(exc)

@@ -22,14 +22,13 @@ from latdeg import _kernels as kernels
 from latdeg.groups import Group, Subgroup, same_group
 from latdeg.lattice import Lattice
 
-TUPLE_BUDGET = 10_000_000  # d_multi refuses, and C13 skips, more tuples
 MULTI_N_CAP = 4
 DEFAULT_N_MAX = 3  # the depth of `--n-max` and of the claim runners
 
 
 class BudgetExceeded(ValueError):
-    """Raised when a degree ranges over more tuples, or a deeper bracket,
-    than its budget allows."""
+    """Raised when an iterated degree, or a depth setting, is deeper than
+    MULTI_N_CAP."""
 
 
 def check_n_max(n_max: int, name: str) -> None:
@@ -58,11 +57,11 @@ def d_multi(g: Group, n: int, *, within: Subgroup | None = None) -> Fraction:
     elements is trivial.
 
     The count is the fold :func:`ssd_multi` runs over subgroups, here
-    over commutator values, so it costs about |values| * |K| per bracket
-    rather than |K|^(n+1).  It shares the depth cap of :func:`ssd_multi`:
-    n above MULTI_N_CAP raises ``BudgetExceeded`` before any count is
-    formed.  ``TUPLE_BUDGET``, read at call time, still bounds the
-    |K|^(n+1) tuples the degree ranges over.
+    over commutator values: at most n |K|^2 lookups in the element
+    commutator table, rather than |K|^(n+1) tuples, and the order cap
+    bounds that table's |G|^2 entries.  It shares the depth cap of
+    :func:`ssd_multi`: n above MULTI_N_CAP raises ``BudgetExceeded``
+    before any count is formed.
 
     ``within`` restricts the tuple entries to a subgroup of ``g`` (the
     commutator values then stay inside it).
@@ -74,17 +73,12 @@ def d_multi(g: Group, n: int, *, within: Subgroup | None = None) -> Fraction:
     if within is not None and within.group is not g:
         raise ValueError("within is a subgroup of another group")
     size = within.size if within is not None else g.order
-    tuples = size ** (n + 1)
-    if tuples > TUPLE_BUDGET:
-        raise BudgetExceeded(
-            f"{tuples} tuple evaluations exceed the budget of {TUPLE_BUDGET}"
-        )
     mask = within.mask if within is not None else (1 << g.order) - 1
     ktab = g.ktab
     good = kernels.count_trivial_iterated_commutators(
         ktab.commutators(), ktab.centralizers(), mask, mask, n
     )
-    return Fraction(good, tuples)
+    return Fraction(good, size ** (n + 1))
 
 
 # phi_rows and perm_rows only pass the lattice's rows on; they stay as

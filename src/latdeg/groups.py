@@ -58,16 +58,23 @@ def order_cap(cap: int | None = None) -> int:
     return value
 
 
+def _decimal(value: int) -> str:
+    """``value`` in decimal, or its bit length in angle brackets if it has
+    more digits than int-to-str conversion allows."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"<{value.bit_length()} bits>"
+
+
 def check_cap(order: int, cap: int | None, what: str) -> None:
     """OrderCapExceeded, naming ``what``, if ``order`` is above the
     effective cap (see :func:`order_cap`)."""
     limit = order_cap(cap)
     if order > limit:
-        try:
-            text = str(order)
-        except ValueError:  # more digits than int-to-str conversion allows
-            text = f"of {order.bit_length()} bits"
-        raise OrderCapExceeded(f"{what} has order {text}, above the cap {limit}")
+        raise OrderCapExceeded(
+            f"{what} has order {_decimal(order)}, above the cap {limit}"
+        )
 
 
 def _parameter(value, what: str) -> int:
@@ -124,15 +131,19 @@ def _family(family: tuple, limit: int) -> tuple[tuple, int]:
         p, m = params
         p = _parameter(p, "modular group parameter p")
         m = _parameter(m, "modular group parameter m")
-        # the order p^m is above p, so a p above the cap is refused by the
-        # cap, prime or not: trial division of a large p would not end
-        if p <= limit and not is_prime(p):
+        # for m >= 3 the order p^m is at least p^3, so a p whose cube is
+        # above the cap is refused by the cap, prime or not: trial division
+        # of a large p would not end (p is compared first, so no huge cube
+        # is formed)
+        if p <= limit and p**3 <= limit and not is_prime(p):
             raise ValueError(f"modular group parameter p must be prime, got {p}")
         if m < 3:
             raise ValueError(f"modular group parameter m must be at least 3, got {m}")
         if (p.bit_length() - 1) * m >= max(_POWER_BITS, limit.bit_length()):
-            label = f"M({p},{m})"
-            raise OrderCapExceeded(f"{label} has order {p}^{m}, above the cap {limit}")
+            raise OrderCapExceeded(
+                f"{family_label(('M', p, m))} has order {_decimal(p)}^{_decimal(m)}, "
+                f"above the cap {limit}"
+            )
         return ("M", p, m), p**m
     return ("Q8",), 8
 
@@ -140,7 +151,7 @@ def _family(family: tuple, limit: int) -> tuple[tuple, int]:
 def family_label(family: tuple) -> str:
     """Label of the built-in family instance ``family``: C(6), M(3,3), Q8."""
     kind, *params = family
-    return f"{kind}({','.join(map(str, params))})" if params else kind
+    return f"{kind}({','.join(map(_decimal, params))})" if params else kind
 
 
 def check_family(family: tuple, cap: int | None = None) -> tuple[tuple, int]:

@@ -12,7 +12,6 @@ from latdeg import (
     Group,
     characters,
     claims,
-    degrees,
     enumerate_subgroups,
     make_cyclic,
     make_dihedral,
@@ -291,11 +290,32 @@ def test_c4_q8_counterexample_is_reported():
     assert bad[0].witnesses
 
 
-def test_budget_skip_entries(monkeypatch):
-    monkeypatch.setattr(degrees, "TUPLE_BUDGET", 100)
-    res = claims.run_claim("C13", make_symmetric(4))
-    skipped = [r for r in res if not r.applicable]
-    assert skipped and all("skipped" in r.note for r in skipped)
+def test_c13_computes_every_instance_of_a_large_cyclic_group():
+    # C(64) has 7 members; d_n(K, K) folds over commutator values, so no
+    # instance is left out for the |K|^(n+1) tuples it ranges over
+    res = claims.run_claim("C13", make_cyclic(64))
+    assert len(res) == 18 and all(r.applicable for r in res)
+    top = next(r for r in res if r.instance == "H=#6,n=3")
+    assert (top.lhs, top.rhs) == (1, Fraction(16777216, 343))
+
+
+def test_only_failing_instances_have_witnesses():
+    # the instances that name a subgroup report it when, and only when,
+    # they fail; C17 and C18 list the element pairs at fault
+    report = claims.run_suite(claims.builtin_groups_up_to(24))
+    named = ("C3", "C4", "C5", "C6", "C10", "C11", "C13")
+    failing_named = 0
+    for r in report.results:
+        if r.witnesses:
+            assert r.applicable and not r.holds, r
+        if not r.applicable or r.holds:
+            continue
+        if (r.claim_id in named and r.instance[:3] in ("K=#", "N=#", "H=#")) or (
+            r.claim_id == "C8" and r.instance.endswith("|sd-chain")
+        ):
+            assert len(r.witnesses) == 1, r
+            failing_named += 1
+    assert failing_named == 972
 
 
 def test_results_carry_exact_sides(builtin16):

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from contextlib import redirect_stdout
 
@@ -44,6 +45,16 @@ def test_parse_errors_carry_positions():
         cli.parse_group_spec("C(")
     with pytest.raises(cli.GroupSpecError):
         cli.parse_group_spec("W(3)")
+
+
+def test_a_long_spec_parses_in_linear_time():
+    # each pattern matches at its position in the text, never on a copy of
+    # the rest, so 64,000 atoms take a fraction of a second
+    text = " x ".join(["C(1)"] * 64_000)
+    start = time.process_time()
+    spec = cli.parse_group_spec(text)
+    assert time.process_time() - start < 1.0
+    assert spec.atoms == (("C", 1),) * 64_000
 
 
 def test_parse_domain_errors_surface_on_build():
@@ -252,6 +263,26 @@ def test_tall_degrees_report_is_byte_identical_to_the_golden_report():
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "fd46875c49b38c992c1bdaf516698556a8ba6cc87623795d80cec40bf34bb25e"
     )
+
+
+@pytest.mark.parametrize(
+    "factors, digest",
+    [
+        (["D(4)", "C(2)", "C(2)", "C(2)"],
+         "7a4a4e5ef982054d6942d7cb0fcc698a7434d838e8d3cb5d5385be2e6ad89b11"),
+        (["C(2)"] * 6,
+         "255d7b7a572d267eb1e3511bbc735d03f7f6682f58e6f89f8c4ebd926109bdb8"),
+    ],
+    ids=["D(4)xC(2)^3", "C(2)^6"],
+)
+def test_large_degrees_reports_are_byte_identical_to_the_golden_reports(
+    factors, digest
+):
+    # the ladder's groups with the largest bracket tables: 937 members, 36 %
+    # of their pairs commuting, and 2,825 members, all of them commuting
+    code, out = run_cli(["degrees", "-g", " x ".join(factors)])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_degrees_csv_report_is_byte_identical_to_the_golden_report():
@@ -484,6 +515,30 @@ def test_n_max_above_the_depth_cap_exits_3(argv, monkeypatch, capsys):
         assert run_cli([*argv, "--n-max", "5"]) == (3, "")
     assert "--n-max must be at most 4" in _one_line_error(capsys)
     assert run_cli([*argv, "--n-max", "4"])[0] == 0
+
+
+@pytest.mark.parametrize(
+    "last, code, error",
+    [
+        ("C(500)", 3, "C(500) has order 500, above the cap 200"),
+        ("S(6)", 2, "symmetric group parameter must be in 1..5, got 6"),
+    ],
+)
+def test_degrees_checks_every_spec_before_it_builds_any(
+    last, code, error, monkeypatch, capsys
+):
+    enumerated = []
+    enumerate_subgroups = cli.enumerate_subgroups
+
+    def counting(*args, **kwargs):
+        enumerated.append(args)
+        return enumerate_subgroups(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "enumerate_subgroups", counting)
+    argv = ["degrees", "-g", "D(4) x C(2) x C(2) x C(2)", "-g", last]
+    assert run_cli(argv) == (code, "")
+    assert _one_line_error(capsys) == f"error: {error}\n"
+    assert enumerated == []
 
 
 @pytest.mark.parametrize(

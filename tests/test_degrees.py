@@ -12,7 +12,6 @@ from latdeg import (
     d_group,
     d_multi,
     d_pair,
-    degrees,
     direct_product,
     enumerate_subgroups,
     make_cyclic,
@@ -77,10 +76,12 @@ def test_d_multi_within_subgroup():
     )
 
 
-def test_d_multi_budget(monkeypatch):
-    monkeypatch.setattr(degrees, "TUPLE_BUDGET", 1000)
-    with pytest.raises(BudgetExceeded):
-        d_multi(make_symmetric(4), 3)
+def test_d_multi_of_a_product_with_many_tuples():
+    # 66^4 = 18,974,736 tuples, but the fold makes at most n |K|^2 lookups;
+    # C(11) is central, so d_n is that of S(3)
+    s3 = make_symmetric(3)
+    value = d_multi(direct_product(s3, make_cyclic(11)), 3)
+    assert value == oracles.d_multi(s3.table, 3) == Fraction(7, 8)
 
 
 def test_sd_values():

@@ -435,12 +435,33 @@ def test_an_unknown_family_or_parameter_count_is_refused(family):
          "above the cap 200"),
         (("M", 4000, 3), "M(4000,3) has order 64000000000, above the cap 200"),
         # 2n has 4,301 digits, more than str() writes out
-        (("D", 10**4300 - 1), f"D({10**4300 - 1}) has order of 14286 bits, "
+        (("D", 10**4300 - 1), f"D({10**4300 - 1}) has order <14286 bits>, "
          "above the cap 200"),
+        # a parameter too long to print is written by its bit length
+        (("M", 3, 10**5000), "M(3,<16610 bits>) has order 3^<16610 bits>, "
+         "above the cap 200"),
+        (("C", 10**5000), "C(<16610 bits>) has order <16610 bits>, above the cap 200"),
     ],
-    ids=["M-3-huge", "M-2-huge", "M-mersenne-89", "M-composite-p", "D-4300-nines"],
+    ids=["M-3-huge", "M-2-huge", "M-mersenne-89", "M-composite-p", "D-4300-nines",
+         "M-5001-digit-m", "C-5001-digits"],
 )
 def test_an_order_far_above_the_cap_is_refused_at_once(family, message):
     with pytest.raises(OrderCapExceeded) as e:
         check_family(family)
     assert str(e.value) == message
+
+
+def test_a_family_constructor_refuses_a_parameter_too_long_to_print():
+    with pytest.raises(OrderCapExceeded, match="above the cap 200"):
+        make_cyclic(10**5000)
+
+
+def test_primality_is_tested_only_for_a_p_whose_cube_is_under_the_cap():
+    # 2^89 - 1 is prime and far below this cap, but its cube is above it,
+    # so the cap refuses M(2^89 - 1, 3) without trial division
+    p = 2**89 - 1
+    with pytest.raises(OrderCapExceeded) as e:
+        check_family(("M", p, 3), cap=10**40)
+    assert str(e.value) == f"M({p},3) has order {p**3}, above the cap {10**40}"
+    with pytest.raises(ValueError, match="p must be prime, got 4"):
+        check_family(("M", 4, 3))
