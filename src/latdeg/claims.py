@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 from typing import NamedTuple
 
 from latdeg import characters, degrees
@@ -68,11 +68,10 @@ class _Context:
     the member's conjugacy class, ``lattice.class_of``.
     """
 
-    def __init__(self, group: Group, n_max: int, cap: int | None):
-        self.group = group
+    def __init__(self, lattice: Lattice, n_max: int):
+        self.group = lattice.group
         self.n_max = n_max
-        self.cap = cap
-        self.lattice = enumerate_subgroups(group, cap=cap)
+        self.lattice = lattice
         self._quotients: dict[int, tuple[int, Fraction]] = {}
         self._ssd_multi: dict[tuple[int, int, bool], Fraction] = {}
         self._d_multi: dict[tuple[int, int], Fraction] = {}
@@ -151,14 +150,22 @@ class _Context:
         return self._d_multi[key]
 
     @cached_property
-    def coprime_factors(self) -> tuple[list[Lattice] | None, str | None]:
-        """(factor lattices, None) when the group is a direct product of
-        pairwise coprime factors, else (None, reason).  Each factor
-        lattice is enumerated once per context."""
-        factors, reason = _coprime_factors(self.group)
-        if factors is not None:
-            factors = [enumerate_subgroups(f, cap=self.cap) for f in factors]
-        return factors, reason
+    def coprime_factors(self) -> tuple[list[int] | None, str | None]:
+        """(factor positions, None) when the group is a direct product of
+        pairwise coprime factors, else (None, reason).  Every subgroup of
+        such a product is a product of subgroups of the factors, so factor
+        C is the one member of order |C|; C's element x is x * stride in
+        the product, so the members below C are L(C) in canonical order."""
+        factors = self.group.factors
+        if not factors or len(factors) < 2:
+            return None, "group was not built as a direct product"
+        for i, a in enumerate(factors):
+            for b in factors[i + 1 :]:
+                if gcd(a.order, b.order) != 1:
+                    reason = f"factor orders |{a.label}|, |{b.label}| share a divisor"
+                    return None, reason
+        sizes = [s.size for s in self.lattice]
+        return [sizes.index(f.order) for f in factors], None
 
 
 CLAIMS: dict[str, Claim] = {}
@@ -398,17 +405,6 @@ def _c8(ctx: _Context):
             yield _res(f"H=#{h_idx},M=#{m_idx}", bound <= sd_h, bound, sd_h)
 
 
-def _coprime_factors(g: Group) -> tuple[list[Group] | None, str | None]:
-    if not g.factors or len(g.factors) < 2:
-        return None, "group was not built as a direct product"
-    factors = list(g.factors)
-    for i, a in enumerate(factors):
-        for b in factors[i + 1 :]:
-            if gcd(a.order, b.order) != 1:
-                return None, f"factor orders |{a.label}|, |{b.label}| share a divisor"
-    return factors, None
-
-
 @_claim(
     "C9",
     "equality",
@@ -422,9 +418,7 @@ def _c9(ctx: _Context):
         yield _not_applicable(reason)
         return
     lhs = degrees.ssd_group(ctx.lattice)
-    rhs = Fraction(1)
-    for flat in factors:
-        rhs *= degrees.ssd_group(flat)
+    rhs = prod(ctx.ssd_multi(c, 1, diagonal=True) for c in factors)
     yield _res(f"factors={len(factors)}", lhs == rhs, lhs, rhs)
 
 
@@ -479,36 +473,30 @@ def _c12(ctx: _Context):
     if factors is None:
         yield _not_applicable(reason)
         return
+    lat = ctx.lattice
     depths = range(1, ctx.n_max + 1)
 
-    def factor_degrees(flat: Lattice, s: Subgroup) -> list[Fraction]:
-        return [degrees.ssd_multi(flat, s, n) for n in depths]
+    def factor_degrees(a: int, c: int) -> list[Fraction]:
+        return [degrees.ssd_multi(lat, lat[a], n, codomain=lat[c]) for n in depths]
 
     if len(factors) == 2:
-        lat1, lat2 = factors
-        order2 = lat2.group.order
-        values2 = [factor_degrees(lat2, b) for b in lat2]
-        for i1, a in enumerate(lat1.subgroups):
-            values1 = factor_degrees(lat1, a)
-            for i2, b in enumerate(lat2.subgroups):
-                mask = 0
-                for x in a.members():
-                    for y in b.members():
-                        mask |= 1 << (x * order2 + y)
-                ab = ctx.lattice.index_of[mask]
+        # a member's position below factor C is its position in L(C), and
+        # A x B is the join of A and B
+        below = [bit_positions(lat.down[c]) for c in factors]
+        values = [[factor_degrees(a, c) for a in m] for c, m in zip(factors, below)]
+        for i1, a in enumerate(below[0]):
+            for i2, b in enumerate(below[1]):
+                ab = lat.join(a, b)
                 for n in depths:
                     lhs = ctx.ssd_multi(ab, n)
-                    rhs = values1[n - 1] * values2[i2][n - 1]
+                    rhs = values[0][i1][n - 1] * values[1][i2][n - 1]
                     yield _res(f"A=#{i1},B=#{i2},n={n}", lhs == rhs, lhs, rhs)
     else:
         # with more than two factors, check the full product per depth
-        full = len(ctx.lattice) - 1
-        values = [factor_degrees(flat, flat.group.full_subgroup()) for flat in factors]
+        full = len(lat) - 1
         for n in depths:
             lhs = ctx.ssd_multi(full, n)
-            rhs = Fraction(1)
-            for per_depth in values:
-                rhs *= per_depth[n - 1]
+            rhs = prod(ctx.ssd_multi(c, n, diagonal=True) for c in factors)
             yield _res(f"full,n={n}", lhs == rhs, lhs, rhs)
 
 
@@ -715,14 +703,14 @@ def run_suite(
             raise ValueError(f"unknown claim id {cid!r}")
         if cid in ids[:k]:
             raise ValueError(f"claim id {cid!r} is selected twice")
-    degrees.check_n_max(n_max, "n_max")
+    n_max = degrees.check_n_max(n_max, "n_max")
     if not ids:  # no group's lattice is needed
         return SuiteReport(results=())
     # one context (lattice and caches) alive at a time; results are
     # collected per claim, so the report keeps registry-then-group order
     per_claim: list[list[ClaimResult]] = [[] for _ in ids]
     for g in groups:
-        ctx = _Context(g, n_max, order_cap)
+        ctx = _Context(enumerate_subgroups(g, cap=order_cap), n_max)
         for found, cid in zip(per_claim, ids):
             found.extend(_run_one(cid, ctx))
         del ctx  # before the next group's lattice is enumerated

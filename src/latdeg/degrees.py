@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from latdeg import _kernels as kernels
-from latdeg.groups import Group, Subgroup, same_group
+from latdeg.groups import Group, Subgroup, _parameter, same_group
 from latdeg.lattice import Lattice
 
 MULTI_N_CAP = 4
@@ -31,13 +31,16 @@ class BudgetExceeded(ValueError):
     MULTI_N_CAP."""
 
 
-def check_n_max(n_max: int, name: str) -> None:
-    """ValueError for a negative depth setting ``n_max``, BudgetExceeded
-    above MULTI_N_CAP; ``name`` is the setting the message names."""
+def check_n_max(n_max: int, name: str) -> int:
+    """``n_max`` as an int; ValueError for a depth setting that is not an
+    integer (bools included) or is negative, BudgetExceeded above
+    MULTI_N_CAP; ``name`` is the setting the message names."""
+    n_max = _parameter(n_max, name)
     if n_max < 0:
         raise ValueError(f"{name} must be at least 0, got {n_max}")
     if n_max > MULTI_N_CAP:
         raise BudgetExceeded(f"{name} must be at most {MULTI_N_CAP}, got {n_max}")
+    return n_max
 
 
 def d_group(g: Group) -> Fraction:
@@ -64,8 +67,10 @@ def d_multi(g: Group, n: int, *, within: Subgroup | None = None) -> Fraction:
     before any count is formed.
 
     ``within`` restricts the tuple entries to a subgroup of ``g`` (the
-    commutator values then stay inside it).
+    commutator values then stay inside it).  An ``n`` that is not an
+    integer, a bool included, raises ValueError.
     """
+    n = _parameter(n, "n")
     if n < 1:
         raise ValueError(f"tuple degree needs n >= 1, got {n}")
     if n > MULTI_N_CAP:
@@ -134,8 +139,10 @@ def ssd_multi(
     enumeration exactly; the trivial member is position 0.
 
     The fold's counts grow to about n log2 |L| bits, so depths above
-    MULTI_N_CAP raise BudgetExceeded.
+    MULTI_N_CAP raise BudgetExceeded; an ``n`` that is not an integer, a
+    bool included, raises ValueError.
     """
+    n = _parameter(n, "n")
     if n < 1:
         raise ValueError(f"iterated degree needs n >= 1, got {n}")
     if n > MULTI_N_CAP:

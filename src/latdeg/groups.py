@@ -37,10 +37,11 @@ def order_cap(cap: int | None = None) -> int:
     """Effective order cap: explicit value, else LATDEG_ORDER_CAP, else 200.
 
     An explicit value is the CLI's ``--order-cap``; it and the variable
-    must be integers of at least 1, else ValueError names the one at
-    fault.
+    must be integers of at least 1 (bools are refused), else ValueError
+    names the one at fault.
     """
     if cap is not None:
+        cap = _parameter(cap, "--order-cap")
         if cap < 1:
             raise ValueError(f"--order-cap must be at least 1, got {cap}")
         return cap
@@ -59,12 +60,12 @@ def order_cap(cap: int | None = None) -> int:
 
 
 def _decimal(value: int) -> str:
-    """``value`` in decimal, or its bit length in angle brackets if it has
-    more digits than int-to-str conversion allows."""
+    """``value`` in decimal, or its sign and bit length in angle brackets
+    if it has more digits than int-to-str conversion allows."""
     try:
         return str(value)
     except ValueError:
-        return f"<{value.bit_length()} bits>"
+        return f"{'-' if value < 0 else ''}<{value.bit_length()} bits>"
 
 
 def check_cap(order: int, cap: int | None, what: str) -> None:
@@ -113,19 +114,21 @@ def _family(family: tuple, limit: int) -> tuple[tuple, int]:
         (n,) = params
         n = _parameter(n, "cyclic order")
         if n < 1:
-            raise ValueError(f"cyclic order must be positive, got {n}")
+            raise ValueError(f"cyclic order must be positive, got {_decimal(n)}")
         return ("C", n), n
     if kind == "D":
         (n,) = params
         n = _parameter(n, "dihedral parameter")
         if n < 1:
-            raise ValueError(f"dihedral parameter must be positive, got {n}")
+            raise ValueError(f"dihedral parameter must be positive, got {_decimal(n)}")
         return ("D", n), 2 * n
     if kind == "S":
         (n,) = params
         n = _parameter(n, "symmetric group parameter")
         if not 1 <= n <= 5:
-            raise ValueError(f"symmetric group parameter must be in 1..5, got {n}")
+            raise ValueError(
+                f"symmetric group parameter must be in 1..5, got {_decimal(n)}"
+            )
         return ("S", n), math.factorial(n)
     if kind == "M":
         p, m = params
@@ -136,9 +139,13 @@ def _family(family: tuple, limit: int) -> tuple[tuple, int]:
         # of a large p would not end (p is compared first, so no huge cube
         # is formed)
         if p <= limit and p**3 <= limit and not is_prime(p):
-            raise ValueError(f"modular group parameter p must be prime, got {p}")
+            raise ValueError(
+                f"modular group parameter p must be prime, got {_decimal(p)}"
+            )
         if m < 3:
-            raise ValueError(f"modular group parameter m must be at least 3, got {m}")
+            raise ValueError(
+                f"modular group parameter m must be at least 3, got {_decimal(m)}"
+            )
         if (p.bit_length() - 1) * m >= max(_POWER_BITS, limit.bit_length()):
             raise OrderCapExceeded(
                 f"{family_label(('M', p, m))} has order {_decimal(p)}^{_decimal(m)}, "

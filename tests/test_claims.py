@@ -81,7 +81,9 @@ def test_c12_holds_per_factor_pair_and_per_depth():
     ]
 
 
-def test_coprime_factor_lattices_are_enumerated_once_on_first_use(monkeypatch):
+def test_coprime_factors_are_read_off_the_product_lattice_on_first_use(monkeypatch):
+    # C9 and C12 take the factors' lattices as down-sets of the product's,
+    # so the harness enumerates one lattice per group
     enumerated = []
 
     def counted(g, **kwargs):
@@ -89,14 +91,17 @@ def test_coprime_factor_lattices_are_enumerated_once_on_first_use(monkeypatch):
         return enumerate_subgroups(g, **kwargs)
 
     monkeypatch.setattr(claims, "enumerate_subgroups", counted)
-    ctx = claims._Context(
-        direct_product(make_cyclic(3), make_cyclic(4)), claims.DEFAULT_N_MAX, None
-    )
+    g = direct_product(make_cyclic(3), make_cyclic(4))
+    assert claims.run_suite([g], ["C9", "C12"]).all_hold
+    assert enumerated == ["C(3) x C(4)"]
+    products = [direct_product(make_symmetric(3), make_cyclic(5)), make_dihedral(4)]
+    claims.run_suite(products)
+    assert enumerated[1:] == ["S(3) x C(5)", "D(4)"]
+    ctx = claims._Context(enumerate_subgroups(g), claims.DEFAULT_N_MAX)
     assert "coprime_factors" not in vars(ctx)
     factors, reason = ctx.coprime_factors
-    assert ctx.coprime_factors == (factors, reason)
-    assert reason is None and [f.group.label for f in factors] == ["C(3)", "C(4)"]
-    assert enumerated == ["C(3) x C(4)", "C(3)", "C(4)"]
+    assert vars(ctx)["coprime_factors"] == (factors, reason)
+    assert reason is None and [ctx.lattice[c].size for c in factors] == [3, 4]
 
 
 def test_c9_not_applicable_without_coprimality():
@@ -169,10 +174,10 @@ def test_c17_reports_xi_that_is_not_a_class_function(monkeypatch):
 def test_claim_caches_hold_one_entry_per_class_and_depth():
     # S(4) has 30 subgroups in 11 conjugacy classes; after every claim
     # has run, each class-keyed cache holds one value per class and depth
-    ctx = claims._Context(make_symmetric(4), claims.DEFAULT_N_MAX, None)
+    lat = enumerate_subgroups(make_symmetric(4))
+    ctx = claims._Context(lat, claims.DEFAULT_N_MAX)
     for cid in claims.CLAIMS:
         claims._run_one(cid, ctx)
-    lat = ctx.lattice
     classes = set(lat.class_of)
     depths = range(1, claims.DEFAULT_N_MAX + 1)
     assert (len(classes), len(lat)) == (11, 30)
@@ -205,12 +210,13 @@ def test_every_group_is_freed_by_reference_counting():
     assert (len(refs), kept) == (43, [])
 
 
-def _no_context(*args):
+def _no_lattice(*args, **kwargs):
+    # the lattice is each group's first work in run_suite
     raise AssertionError("a group ran")
 
 
 def test_n_max_above_the_depth_cap_is_refused_before_any_group_runs(monkeypatch):
-    monkeypatch.setattr(claims, "_Context", _no_context)
+    monkeypatch.setattr(claims, "enumerate_subgroups", _no_lattice)
     with pytest.raises(BudgetExceeded, match="n_max must be at most 4, got 5"):
         claims.run_suite([make_cyclic(4)], n_max=5)
     with pytest.raises(BudgetExceeded, match="n_max must be at most 4, got 5"):
@@ -219,7 +225,7 @@ def test_n_max_above_the_depth_cap_is_refused_before_any_group_runs(monkeypatch)
 
 def test_a_claim_selected_twice_is_refused_before_any_group_runs(monkeypatch):
     # a repeated id would report each of its results twice
-    monkeypatch.setattr(claims, "_Context", _no_context)
+    monkeypatch.setattr(claims, "enumerate_subgroups", _no_lattice)
     with pytest.raises(ValueError, match="'C1' is selected twice"):
         claims.run_suite([make_cyclic(4)], ["C1", "C2", "C1"])
 
@@ -242,9 +248,11 @@ def test_claim_results_are_immutable_values():
 
 def test_claim_settings_are_checked_keywords(monkeypatch):
     # a misspelt setting, or one passed positionally, is an error rather
-    # than a silent default; a negative depth is refused before any
-    # group runs, as a depth above the cap is
-    monkeypatch.setattr(claims, "_Context", _no_context)
+    # than a silent default; a negative depth, or one that is not an
+    # integer, is refused before any group runs, as a depth above the cap
+    # is (2.5 would reach range() after the lattice is enumerated, and
+    # True would run at depth 1)
+    monkeypatch.setattr(claims, "enumerate_subgroups", _no_lattice)
     with pytest.raises(TypeError):
         claims.run_claim("C10", make_cyclic(4), nmax=1)
     with pytest.raises(TypeError):
@@ -255,6 +263,14 @@ def test_claim_settings_are_checked_keywords(monkeypatch):
         claims.run_claim("C10", make_cyclic(4), n_max=-2)
     with pytest.raises(ValueError, match="at least 0"):
         claims.run_suite([make_cyclic(4)], n_max=-2)
+    for n_max in (2.5, True, "2"):
+        message = f"n_max must be an integer, got {n_max!r}"
+        with pytest.raises(ValueError) as e:
+            claims.run_suite([make_symmetric(3)], ["C10"], n_max=n_max)
+        assert str(e.value) == message
+        with pytest.raises(ValueError) as e:
+            claims.run_claim("C10", make_symmetric(3), n_max=n_max)
+        assert str(e.value) == message
 
 
 def test_n_max_sets_the_depths_checked():

@@ -222,6 +222,24 @@ def test_verify_product_report_is_byte_identical_to_the_golden_report():
     )
 
 
+def test_coprime_product_claims_are_byte_identical_to_the_golden_report():
+    # C9 and C12 on coprime products no other golden covers: two factors
+    # with 30 x 2 members, three factors, and a trivial factor
+    code, out = run_cli(
+        [
+            "verify",
+            "-g", "S(4) x C(5)",
+            "-g", "Q8 x C(3) x C(5)",
+            "-g", "C(3) x C(1) x C(5)",
+            "--claims", "C9,C12",
+        ]
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "77fdb575e5bf2baa981605631da29994af6b6467e97769b9f3f1efdadf1ad15f"
+    )
+
+
 def test_degrees_report_is_byte_identical_to_the_golden_report():
     # a refactor keeps every report byte for byte; S(5) is the group
     # where the non-commuting brackets weigh most

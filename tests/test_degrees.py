@@ -23,6 +23,7 @@ from latdeg import (
     ssd_group,
     ssd_multi,
 )
+from latdeg.degrees import check_n_max
 from latdeg.groups import bit_positions
 
 
@@ -231,6 +232,21 @@ def test_d_multi_shares_the_depth_cap():
             d_multi(group, n)
         assert str(e.value) == f"n = {n} exceeds the cap 4"
     assert d_multi(make_cyclic(2), 4) == 1
+
+
+@pytest.mark.parametrize("n", [2.0, True, "2"])
+def test_a_depth_that_is_not_an_integer_is_refused(n):
+    # True would run at depth 1, 2.0 would reach range() with a float
+    s3 = make_symmetric(3)
+    lat = enumerate_subgroups(s3)
+    for call, name in (
+        (lambda: ssd_multi(lat, s3.full_subgroup(), n), "n"),
+        (lambda: d_multi(s3, n), "n"),
+        (lambda: check_n_max(n, "--n-max"), "--n-max"),
+    ):
+        with pytest.raises(ValueError) as e:
+            call()
+        assert str(e.value) == f"{name} must be an integer, got {n!r}"
 
 
 def test_ssd_multi_rejects_non_member():

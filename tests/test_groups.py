@@ -454,6 +454,46 @@ def test_an_order_far_above_the_cap_is_refused_at_once(family, message):
 def test_a_family_constructor_refuses_a_parameter_too_long_to_print():
     with pytest.raises(OrderCapExceeded, match="above the cap 200"):
         make_cyclic(10**5000)
+    huge = 10**5000
+    bits = huge.bit_length()
+    for build, message in [
+        (
+            lambda: make_cyclic(-huge),
+            f"cyclic order must be positive, got -<{bits} bits>",
+        ),
+        (
+            lambda: make_dihedral(-huge),
+            f"dihedral parameter must be positive, got -<{bits} bits>",
+        ),
+        (
+            lambda: make_symmetric(huge),
+            f"symmetric group parameter must be in 1..5, got <{bits} bits>",
+        ),
+        (
+            lambda: make_modular(3, -huge),
+            f"modular group parameter m must be at least 3, got -<{bits} bits>",
+        ),
+        (
+            lambda: make_modular(-huge, 3),
+            f"modular group parameter p must be prime, got -<{bits} bits>",
+        ),
+    ]:
+        with pytest.raises(ValueError) as e:
+            build()
+        assert str(e.value) == message
+
+
+@pytest.mark.parametrize("cap", [2.5, True, "200"])
+def test_a_cap_that_is_not_an_integer_is_refused(cap):
+    # the cap is checked as an integer setting, not compared as it is
+    for build in (
+        lambda: enumerate_subgroups(make_cyclic(3), cap=cap),
+        lambda: make_cyclic(3, cap=cap),
+    ):
+        with pytest.raises(ValueError) as e:
+            build()
+        assert not isinstance(e.value, OrderCapExceeded)
+        assert str(e.value) == f"--order-cap must be an integer, got {cap!r}"
 
 
 def test_primality_is_tested_only_for_a_p_whose_cube_is_under_the_cap():

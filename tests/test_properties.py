@@ -15,6 +15,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, prod
 
 import oracles
 from hypothesis import example, given, settings
@@ -28,6 +29,7 @@ from latdeg import (
     degrees,
     direct_product,
     enumerate_subgroups,
+    make_cyclic,
     make_symmetric,
     normal_subgroups,
     quotient,
@@ -37,6 +39,7 @@ MAX_ORDER = 48
 ORACLE_TUPLES = 200_000
 ORACLE_BRACKETS = 3_000
 FACTORS = {g.label: g for g in claims.builtin_groups_up_to(24) if g.order > 1}
+FACTORS_AND_TRIVIAL = {"C(1)": make_cyclic(1), **FACTORS}
 # on abelian groups every bracket is trivial
 NONABELIAN = sorted(label for label, g in FACTORS.items() if not g.is_abelian)
 
@@ -268,11 +271,63 @@ def test_d_multi_matches_oracle_on_group_and_member(labels, data):
 @given(labels=group_labels(max_order=32))
 def test_quotient_stats_match_oracle_on_built_quotients(labels):
     group, lat = group_and_lattice(labels)
-    ctx = claims._Context(group, claims.DEFAULT_N_MAX, None)
+    ctx = claims._Context(lat, claims.DEFAULT_N_MAX)
     for sub in normal_subgroups(lat):
         q = quotient(sub)
         expected = (len(oracles.subgroups(q.table)), oracles.ssd(q.table))
         assert ctx.quotient_stats(lat.index(sub)) == expected
+
+
+@st.composite
+def coprime_factor_labels(draw) -> tuple[str, ...]:
+    # two or three factors of pairwise coprime orders, C(1) among them
+    labels = [draw(st.sampled_from(sorted(FACTORS_AND_TRIVIAL)))]
+    order = FACTORS_AND_TRIVIAL[labels[0]].order
+    for _ in range(draw(st.integers(1, 2))):
+        partners = sorted(
+            label
+            for label, g in FACTORS_AND_TRIVIAL.items()
+            if gcd(order, g.order) == 1 and order * g.order <= MAX_ORDER
+        )
+        labels.append(draw(st.sampled_from(partners)))
+        order *= FACTORS_AND_TRIVIAL[labels[-1]].order
+    return tuple(labels)
+
+
+@few
+@given(labels=coprime_factor_labels())
+@example(labels=("C(3)", "C(1)", "C(5)"))
+@example(labels=("S(3)", "C(7)"))
+def test_coprime_factor_lattices_are_down_sets_of_the_product_lattice(labels):
+    # C9 and C12 read each factor C off the product's lattice: C is the one
+    # member of order |C|, the members below it are L(C) in its canonical
+    # order under x -> x * stride, and A x B is the join of A and B
+    factors = [FACTORS_AND_TRIVIAL[label] for label in labels]
+    group = factors[0]
+    for f in factors[1:]:
+        group = direct_product(group, f)
+    lat = enumerate_subgroups(group)
+    positions, below = [], []
+    for k, f in enumerate(factors):
+        stride = prod(g.order for g in factors[k + 1 :])
+        [c] = [i for i, s in enumerate(lat) if s.size == f.order]
+        assert lat[c].mask == _mask(x * stride for x in range(f.order))
+        members = sorted(_set(lat.down[c]))
+        own = [_mask(x * stride for x in _set(s.mask)) for s in enumerate_subgroups(f)]
+        assert [lat[i].mask for i in members] == own
+        positions.append(c)
+        below.append(members)
+    ctx = claims._Context(lat, claims.DEFAULT_N_MAX)
+    assert ctx.coprime_factors == (positions, None)
+    table = group.table
+    for k, first in enumerate(below):
+        for second in below[k + 1 :]:
+            for a in first:
+                for b in second:
+                    product = _mask(
+                        table[x][y] for x in lat[a].members() for y in lat[b].members()
+                    )
+                    assert lat[lat.join(a, b)].mask == product
 
 
 @few
