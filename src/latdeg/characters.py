@@ -3,7 +3,10 @@
 xi(g) counts pairs (X, Y) with X a subgroup of <g>, Y any subgroup of
 G, and [X, Y] = 1.  It is constant on conjugacy classes and depends on
 g only through the cyclic subgroup it generates, which the lattice
-holds at position ``lat.cyclic[g]``.
+holds at position ``lat.cyclic[g]``.  The element index passes the one
+check of an integer input, ``groups._parameter``: a bool, a non-integer
+or an index outside 0..|G|-1 raises ValueError ("element index must be
+at most 5, got 6").
 """
 
 from __future__ import annotations
@@ -11,13 +14,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from latdeg.degrees import phi_rows
-from latdeg.groups import Group, bit_positions
+from latdeg.groups import Group, _parameter, bit_positions
 from latdeg.lattice import Lattice
 
 
 def xi(lat: Lattice, element: int) -> int:
-    if not 0 <= element < lat.group.order:
-        raise ValueError(f"element index {element} out of range")
+    element = _parameter(element, "element index", 0, lat.group.order - 1)
     rows = phi_rows(lat)
     below = lat.down[lat.cyclic[element]]
     return sum(rows[i].bit_count() for i in bit_positions(below))

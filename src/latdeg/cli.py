@@ -46,6 +46,7 @@ from latdeg.groups import (
     FAMILIES,
     Group,
     OrderCapExceeded,
+    _parameter,
     builtin_families_up_to,
     check_cap,
     check_family,
@@ -64,7 +65,7 @@ EXIT_CLAIM_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-REPORT_SLICE = 1 << 16  # characters of a report encoded and written at a time
+REPORT_SLICE = 1 << 15  # least characters per write; a slice fits a 64 KiB pipe buffer
 REPORT_MEMO = 128  # flattened rationals kept for reuse, the most recently used
 
 
@@ -371,22 +372,18 @@ def _settings(args: argparse.Namespace) -> int:
 
 
 def _slices(chunks: Iterable[str]) -> Iterator[str]:
-    """The text of ``chunks`` in slices of REPORT_SLICE characters; the
-    last is shorter and may be empty."""
+    """The text of ``chunks`` in slices: the chunks joined once they hold
+    at least REPORT_SLICE characters, so a slice is longer by less than
+    one chunk (a record); the last is shorter and may be empty."""
     held: list[str] = []
     count = 0
     for chunk in chunks:
         held.append(chunk)
         count += len(chunk)
         if count >= REPORT_SLICE:
-            text = "".join(held)
+            yield "".join(held)
             held.clear()
-            cut = count - count % REPORT_SLICE
-            for start in range(0, cut, REPORT_SLICE):
-                yield text[start : start + REPORT_SLICE]
-            held.append(text[cut:])
-            count -= cut
-            del text
+            count = 0
     yield "".join(held)
 
 
@@ -398,10 +395,10 @@ def _write_stdout(chunks: Iterable[str]) -> None:
     then SIGCONT) makes ``BufferedWriter.write`` return a short count,
     which ``TextIOWrapper.write`` ignores, so a long report would lose
     its tail.  The report therefore goes to the binary buffer in a loop
-    that resumes after each short write.  It is encoded one slice of
-    ``REPORT_SLICE`` characters at a time, by one incremental encoder
-    so that a stateful encoding stays correct, and only the current
-    slice is held, as text and encoded.
+    that resumes after each short write.  It is encoded one slice (see
+    :func:`_slices`) at a time, by one incremental encoder so that a
+    stateful encoding stays correct, and only the current slice is held,
+    as text and encoded.
     """
     stream = sys.stdout
     if stream is None:  # started with its file descriptor closed
@@ -477,13 +474,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         cap = _settings(args)
         if args.all_up_to is not None:
-            if args.all_up_to < 1:
-                raise ValueError(
-                    f"--all-up-to must be at least 1, got {args.all_up_to}"
-                )
+            max_order = _parameter(args.all_up_to, "--all-up-to", 1)
             specs = [
                 GroupSpec((family,))
-                for family in builtin_families_up_to(args.all_up_to, cap=cap)
+                for family in builtin_families_up_to(max_order, cap=cap)
             ]
         else:
             specs = [parse_group_spec(text).check(cap) for text in args.group]

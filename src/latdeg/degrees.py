@@ -12,6 +12,12 @@ d_n and ssd_n count the same thing, tuples whose left-normed bracket
 is trivial, over elements and over lattice members.  Both hand their
 bracket table to the one fold,
 ``_kernels.count_trivial_iterated_commutators``.
+
+The depth n and the depth settings pass the one check of an integer
+input, ``groups._parameter``: a bool or a non-integer raises ValueError,
+as does a depth below its least ("n must be at least 1, got 0"); a
+depth above MULTI_N_CAP raises BudgetExceeded ("n must be at most 4,
+got 5").
 """
 
 from __future__ import annotations
@@ -35,12 +41,7 @@ def check_n_max(n_max: int, name: str) -> int:
     """``n_max`` as an int; ValueError for a depth setting that is not an
     integer (bools included) or is negative, BudgetExceeded above
     MULTI_N_CAP; ``name`` is the setting the message names."""
-    n_max = _parameter(n_max, name)
-    if n_max < 0:
-        raise ValueError(f"{name} must be at least 0, got {n_max}")
-    if n_max > MULTI_N_CAP:
-        raise BudgetExceeded(f"{name} must be at most {MULTI_N_CAP}, got {n_max}")
-    return n_max
+    return _parameter(n_max, name, 0, MULTI_N_CAP, BudgetExceeded)
 
 
 def d_group(g: Group) -> Fraction:
@@ -70,11 +71,7 @@ def d_multi(g: Group, n: int, *, within: Subgroup | None = None) -> Fraction:
     commutator values then stay inside it).  An ``n`` that is not an
     integer, a bool included, raises ValueError.
     """
-    n = _parameter(n, "n")
-    if n < 1:
-        raise ValueError(f"tuple degree needs n >= 1, got {n}")
-    if n > MULTI_N_CAP:
-        raise BudgetExceeded(f"n = {n} exceeds the cap {MULTI_N_CAP}")
+    n = _parameter(n, "n", 1, MULTI_N_CAP, BudgetExceeded)
     if within is not None and within.group is not g:
         raise ValueError("within is a subgroup of another group")
     size = within.size if within is not None else g.order
@@ -142,11 +139,7 @@ def ssd_multi(
     MULTI_N_CAP raise BudgetExceeded; an ``n`` that is not an integer, a
     bool included, raises ValueError.
     """
-    n = _parameter(n, "n")
-    if n < 1:
-        raise ValueError(f"iterated degree needs n >= 1, got {n}")
-    if n > MULTI_N_CAP:
-        raise BudgetExceeded(f"n = {n} exceeds the cap {MULTI_N_CAP}")
+    n = _parameter(n, "n", 1, MULTI_N_CAP, BudgetExceeded)
     dom_mask = lat.down[lat.index(h)]
     if codomain is None:
         cod_mask = (1 << len(lat)) - 1

@@ -41,10 +41,7 @@ def order_cap(cap: int | None = None) -> int:
     names the one at fault.
     """
     if cap is not None:
-        cap = _parameter(cap, "--order-cap")
-        if cap < 1:
-            raise ValueError(f"--order-cap must be at least 1, got {cap}")
-        return cap
+        return _parameter(cap, "--order-cap", 1)
     env = os.environ.get(ORDER_CAP_ENV)
     if not env:
         return DEFAULT_ORDER_CAP
@@ -54,9 +51,7 @@ def order_cap(cap: int | None = None) -> int:
         raise ValueError(
             f"{ORDER_CAP_ENV} must be an integer, got {env!r}"
         ) from None
-    if value < 1:
-        raise ValueError(f"{ORDER_CAP_ENV} must be at least 1, got {env!r}")
-    return value
+    return _parameter(value, ORDER_CAP_ENV, 1)
 
 
 def _decimal(value: int) -> str:
@@ -78,15 +73,22 @@ def check_cap(order: int, cap: int | None, what: str) -> None:
         )
 
 
-def _parameter(value, what: str) -> int:
-    """``value`` as an int, by ``operator.index``; ValueError naming
-    ``what`` if it is a bool or not an integer."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{what} must be an integer, got {value!r}")
+def _parameter(value, what: str, least=None, most=None, over=ValueError) -> int:
+    """``value`` as an int, by ``operator.index``: the one check of an
+    integer input.  ValueError naming ``what`` if it is a bool or not an
+    integer, or is below ``least``; ``over`` if it is above ``most``.  The
+    value is written by :func:`_decimal`, so a huge one prints."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be at least {least}, got {_decimal(value)}")
+    if most is not None and value > most:
+        raise over(f"{what} must be at most {most}, got {_decimal(value)}")
+    return value
 
 
 def _builder(family: tuple):
@@ -111,29 +113,17 @@ def _family(family: tuple, limit: int) -> tuple[tuple, int]:
     _builder(family)
     kind, *params = family
     if kind == "C":
-        (n,) = params
-        n = _parameter(n, "cyclic order")
-        if n < 1:
-            raise ValueError(f"cyclic order must be positive, got {_decimal(n)}")
+        n = _parameter(params[0], "cyclic order", 1)
         return ("C", n), n
     if kind == "D":
-        (n,) = params
-        n = _parameter(n, "dihedral parameter")
-        if n < 1:
-            raise ValueError(f"dihedral parameter must be positive, got {_decimal(n)}")
+        n = _parameter(params[0], "dihedral parameter", 1)
         return ("D", n), 2 * n
     if kind == "S":
-        (n,) = params
-        n = _parameter(n, "symmetric group parameter")
-        if not 1 <= n <= 5:
-            raise ValueError(
-                f"symmetric group parameter must be in 1..5, got {_decimal(n)}"
-            )
+        n = _parameter(params[0], "symmetric group parameter", 1, 5)
         return ("S", n), math.factorial(n)
     if kind == "M":
-        p, m = params
-        p = _parameter(p, "modular group parameter p")
-        m = _parameter(m, "modular group parameter m")
+        p = _parameter(params[0], "modular group parameter p")
+        m = _parameter(params[1], "modular group parameter m")
         # for m >= 3 the order p^m is at least p^3, so a p whose cube is
         # above the cap is refused by the cap, prime or not: trial division
         # of a large p would not end (p is compared first, so no huge cube
@@ -142,10 +132,7 @@ def _family(family: tuple, limit: int) -> tuple[tuple, int]:
             raise ValueError(
                 f"modular group parameter p must be prime, got {_decimal(p)}"
             )
-        if m < 3:
-            raise ValueError(
-                f"modular group parameter m must be at least 3, got {_decimal(m)}"
-            )
+        _parameter(m, "modular group parameter m", 3)  # after p: M(4,2) names p
         if (p.bit_length() - 1) * m >= max(_POWER_BITS, limit.bit_length()):
             raise OrderCapExceeded(
                 f"{family_label(('M', p, m))} has order {_decimal(p)}^{_decimal(m)}, "
@@ -185,8 +172,10 @@ def builtin_families_up_to(max_order: int, *, cap: int | None = None) -> list[tu
     Above the order cap it raises what building them in that order
     raises first: every order has its cyclic group, and C sorts first
     among the labels of an order, so that is C(cap + 1).  Nothing is
-    listed before, so a huge max_order costs nothing.
+    listed before, so a huge max_order costs nothing.  A max_order that
+    is not an integer raises ValueError; one below 1 lists nothing.
     """
+    max_order = _parameter(max_order, "max_order")
     limit = order_cap(cap)
     if max_order > limit:
         check_cap(limit + 1, cap, f"C({limit + 1})")

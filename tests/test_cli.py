@@ -539,7 +539,7 @@ def test_n_max_above_the_depth_cap_exits_3(argv, monkeypatch, capsys):
     "last, code, error",
     [
         ("C(500)", 3, "C(500) has order 500, above the cap 200"),
-        ("S(6)", 2, "symmetric group parameter must be in 1..5, got 6"),
+        ("S(6)", 2, "symmetric group parameter must be at most 5, got 6"),
     ],
 )
 def test_degrees_checks_every_spec_before_it_builds_any(
@@ -557,6 +557,54 @@ def test_degrees_checks_every_spec_before_it_builds_any(
     assert run_cli(argv) == (code, "")
     assert _one_line_error(capsys) == f"error: {error}\n"
     assert enumerated == []
+
+
+# (arguments after the subcommand, LATDEG_ORDER_CAP, exit code, error line)
+_REFUSALS = [
+    (["-g", "C(6"], None, 2, "expected ')' (at position 3)"),
+    (["-g", "C(0)"], None, 2, "cyclic order must be at least 1, got 0"),
+    (["-g", "S(6)"], None, 2, "symmetric group parameter must be at most 5, got 6"),
+    (["-g", "M(4,3)"], None, 2, "modular group parameter p must be prime, got 4"),
+    (["-g", "M(4,2)"], None, 2, "modular group parameter p must be prime, got 4"),
+    (["-g", "M(2,2)"], None, 2, "modular group parameter m must be at least 3, got 2"),
+    (["-g", "C(999)"], None, 3, "C(999) has order 999, above the cap 200"),
+    (["-g", "C(4)", "--n-max", "-1"], None, 2, "--n-max must be at least 0, got -1"),
+    (["-g", "C(4)", "--n-max", "5"], None, 3, "--n-max must be at most 4, got 5"),
+    (["-g", "C(4)", "--order-cap", "0"], None, 2,
+     "--order-cap must be at least 1, got 0"),
+    (["-g", "C(4)"], "0", 2, "LATDEG_ORDER_CAP must be at least 1, got 0"),
+    (["-g", "C(4)"], "abc", 2, "LATDEG_ORDER_CAP must be an integer, got 'abc'"),
+]
+_VERIFY_REFUSALS = [
+    (["--all-up-to", "0"], None, 2, "--all-up-to must be at least 1, got 0"),
+    (["-g", "C(4)", "--claims", "C99"], None, 2, "unknown claim id 'C99'"),
+    (["-g", "C(4)", "--claims", "C1,C1"], None, 2, "claim id 'C1' is selected twice"),
+]
+
+
+_REFUSAL_CASES = [
+    (command, *case) for command in ("degrees", "verify") for case in _REFUSALS
+] + [("verify", *case) for case in _VERIFY_REFUSALS]
+
+
+@pytest.mark.parametrize(
+    "command, args, env, code, line",
+    _REFUSAL_CASES,
+    ids=[
+        "_".join([command, *args] + ([f"LATDEG_ORDER_CAP={env}"] if env else []))
+        for command, args, env, _, _ in _REFUSAL_CASES
+    ],
+)
+def test_each_refusal_prints_its_pinned_error_line(
+    command, args, env, code, line, monkeypatch, capsys
+):
+    # the exact wording of every refusal, so that a change of one shows here
+    if env is None:
+        monkeypatch.delenv("LATDEG_ORDER_CAP", raising=False)
+    else:
+        monkeypatch.setenv("LATDEG_ORDER_CAP", env)
+    assert run_cli([command, *args]) == (code, "")
+    assert _one_line_error(capsys) == f"error: {line}\n"
 
 
 @pytest.mark.parametrize(

@@ -230,7 +230,7 @@ def test_d_multi_shares_the_depth_cap():
     for group, n in ((make_cyclic(2), 10**5), (make_cyclic(1), 10**6)):
         with pytest.raises(BudgetExceeded) as e:
             d_multi(group, n)
-        assert str(e.value) == f"n = {n} exceeds the cap 4"
+        assert str(e.value) == f"n must be at most 4, got {n}"
     assert d_multi(make_cyclic(2), 4) == 1
 
 

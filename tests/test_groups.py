@@ -5,11 +5,14 @@ import pytest
 import oracles
 from latdeg import _kernels as kernels
 from latdeg import (
+    BudgetExceeded,
     Group,
     OrderCapExceeded,
     Subgroup,
+    builtin_groups_up_to,
     class_count,
     d_group,
+    d_multi,
     direct_product,
     enumerate_subgroups,
     make_cyclic,
@@ -18,11 +21,16 @@ from latdeg import (
     make_quaternion,
     make_symmetric,
     normal_subgroups,
+    order_cap,
     quotient,
     sd_group,
+    ssd_cyclic,
     ssd_group,
+    ssd_multi,
+    xi,
 )
 from latdeg.arith import tau
+from latdeg.degrees import check_n_max
 from latdeg.groups import builtin_families_up_to, check_family, make_family
 
 
@@ -459,15 +467,15 @@ def test_a_family_constructor_refuses_a_parameter_too_long_to_print():
     for build, message in [
         (
             lambda: make_cyclic(-huge),
-            f"cyclic order must be positive, got -<{bits} bits>",
+            f"cyclic order must be at least 1, got -<{bits} bits>",
         ),
         (
             lambda: make_dihedral(-huge),
-            f"dihedral parameter must be positive, got -<{bits} bits>",
+            f"dihedral parameter must be at least 1, got -<{bits} bits>",
         ),
         (
             lambda: make_symmetric(huge),
-            f"symmetric group parameter must be in 1..5, got <{bits} bits>",
+            f"symmetric group parameter must be at most 5, got <{bits} bits>",
         ),
         (
             lambda: make_modular(3, -huge),
@@ -505,3 +513,63 @@ def test_primality_is_tested_only_for_a_p_whose_cube_is_under_the_cap():
     assert str(e.value) == f"M({p},3) has order {p**3}, above the cap {10**40}"
     with pytest.raises(ValueError, match="p must be prime, got 4"):
         check_family(("M", 4, 3))
+
+
+_HUGE = 10**5000  # more digits than int-to-str conversion allows
+_S3 = make_symmetric(3)
+_S3_LATTICE = enumerate_subgroups(_S3)
+
+# input -> (call, the name its messages start with, outcome at -_HUGE, outcome
+# at _HUGE); an outcome is an exception class or ("ok", the value returned)
+_INTEGER_INPUTS = {
+    "order_cap": (order_cap, "--order-cap", ValueError, ("ok", _HUGE)),
+    "C": (make_cyclic, "cyclic order", ValueError, OrderCapExceeded),
+    "D": (make_dihedral, "dihedral parameter", ValueError, OrderCapExceeded),
+    "S": (make_symmetric, "symmetric group parameter", ValueError, ValueError),
+    "M-p": (
+        lambda v: make_modular(v, 3), "modular group parameter p",
+        ValueError, OrderCapExceeded,
+    ),
+    "M-m": (
+        lambda v: make_modular(3, v), "modular group parameter m",
+        ValueError, OrderCapExceeded,
+    ),
+    "check_n_max": (
+        lambda v: check_n_max(v, "n_max"), "n_max", ValueError, BudgetExceeded
+    ),
+    "d_multi": (lambda v: d_multi(make_cyclic(2), v), "n", ValueError, BudgetExceeded),
+    "ssd_multi": (
+        lambda v: ssd_multi(_S3_LATTICE, _S3.full_subgroup(), v), "n",
+        ValueError, BudgetExceeded,
+    ),
+    "xi": (lambda v: xi(_S3_LATTICE, v), "element index", ValueError, ValueError),
+    "ssd_cyclic": (
+        lambda v: ssd_cyclic(_S3_LATTICE, v), "element index", ValueError, ValueError
+    ),
+    "builtin_groups_up_to": (
+        builtin_groups_up_to, "max_order", ("ok", []), OrderCapExceeded
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_INTEGER_INPUTS))
+@pytest.mark.parametrize(
+    "value", [True, 2.5, "3", -_HUGE, _HUGE],
+    ids=["True", "2.5", "'3'", "-10**5000", "10**5000"],
+)
+def test_every_integer_input_gets_an_answer_or_its_error(name, value, monkeypatch):
+    # one check serves them all: a bool or a non-integer is refused by name,
+    # and a huge value is written by its bit length, never by str()
+    monkeypatch.delenv("LATDEG_ORDER_CAP", raising=False)
+    call, what, below, above = _INTEGER_INPUTS[name]
+    expected = ValueError if type(value) is not int else below if value < 0 else above
+    if isinstance(expected, tuple):
+        assert call(value) == expected[1]
+        return
+    with pytest.raises(ValueError) as e:
+        call(value)
+    assert type(e.value) is expected
+    message = str(e.value)
+    assert "Exceeds the limit" not in message
+    if expected is not OrderCapExceeded:
+        assert message.startswith(f"{what} must be ")
