@@ -22,7 +22,10 @@ slice of its text is held, never the whole.  They format the text
 directly.  JSON strings are escaped by the C function that
 ``json.dumps`` uses and CSV fields are quoted as ``csv.writer`` quotes
 them, so the output stays byte-identical to the earlier
-``json.dumps(records, indent=2)`` and ``csv.writer`` layouts.
+``json.dumps(records, indent=2)`` and ``csv.writer`` layouts.  A CSV
+field that holds a carriage return is quoted too, as every Python
+version's ``csv.writer`` quotes it with "\\r\\n" line ends; rows end
+with "\\n".
 """
 
 from __future__ import annotations
@@ -240,10 +243,11 @@ def _json_report(records: Iterable[str]) -> Iterator[str]:
 
 
 def _csv_str(text: str) -> str:
-    """``text`` as a CSV field, as ``csv.writer`` writes it with "\\n" line
-    ends: quoted, its quotes doubled, if it holds a comma, a quote or a
-    line feed."""
-    if "," in text or '"' in text or "\n" in text:
+    """``text`` as a CSV field: quoted, its quotes doubled, if it holds a
+    comma, a quote, a line feed or a carriage return, as ``csv.writer``
+    quotes it with "\\r\\n" line ends (an unquoted CR would split the
+    record when it is read back)."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 

@@ -48,6 +48,12 @@ def order_cap(cap: int | None = None) -> int:
     try:
         value = int(env)
     except ValueError:
+        digits = env.strip()
+        digits = digits[1:] if digits[:1] in ("+", "-") else digits
+        if digits.isdecimal():  # more digits than int() converts
+            raise ValueError(
+                f"{ORDER_CAP_ENV} of {len(digits)} digits is too long"
+            ) from None
         raise ValueError(
             f"{ORDER_CAP_ENV} must be an integer, got {env!r}"
         ) from None
@@ -69,7 +75,7 @@ def check_cap(order: int, cap: int | None, what: str) -> None:
     limit = order_cap(cap)
     if order > limit:
         raise OrderCapExceeded(
-            f"{what} has order {_decimal(order)}, above the cap {limit}"
+            f"{what} has order {_decimal(order)}, above the cap {_decimal(limit)}"
         )
 
 
@@ -136,7 +142,7 @@ def _family(family: tuple, limit: int) -> tuple[tuple, int]:
         if (p.bit_length() - 1) * m >= max(_POWER_BITS, limit.bit_length()):
             raise OrderCapExceeded(
                 f"{family_label(('M', p, m))} has order {_decimal(p)}^{_decimal(m)}, "
-                f"above the cap {limit}"
+                f"above the cap {_decimal(limit)}"
             )
         return ("M", p, m), p**m
     return ("Q8",), 8
@@ -256,46 +262,6 @@ def same_group(h: Subgroup, k: Subgroup) -> Group:
     return h.group
 
 
-def _raise_non_integer(rows: tuple[tuple, ...]) -> None:
-    """Raise ValueError for the first entry of ``rows`` that is not an
-    integer (see :class:`Group`)."""
-    for a, row in enumerate(rows):
-        for b, x in enumerate(row):
-            try:
-                operator.index(x)
-            except TypeError:
-                raise ValueError(
-                    f"table entry {x!r} in row {a}, column {b} is not an integer"
-                ) from None
-
-
-def _raise_first_fault(rows: tuple[tuple[int, ...], ...]) -> None:
-    """Raise ValueError for the first fault of a table that breaks the
-    Latin-square or identity laws: rows in order (length, entries in
-    range, a permutation), then columns, then element 0."""
-    n = len(rows)
-    if n == 0:
-        raise ValueError("a group has at least the identity element")
-    full = (1 << n) - 1
-    for a, row in enumerate(rows):
-        if len(row) != n:
-            raise ValueError(f"table row {a} has length {len(row)}, expected {n}")
-        seen = 0
-        for v in row:
-            if not 0 <= v < n:
-                raise ValueError(f"table entry {v} out of range 0..{n - 1}")
-            seen |= 1 << v
-        if seen != full:
-            raise ValueError(f"table row {a} is not a permutation")
-    for b in range(n):
-        seen = 0
-        for a in range(n):
-            seen |= 1 << rows[a][b]
-        if seen != full:
-            raise ValueError(f"table column {b} is not a permutation")
-    raise ValueError("element 0 is not a two-sided identity")
-
-
 class Group:
     """Immutable finite group given by its multiplication table.
 
@@ -314,31 +280,43 @@ class Group:
         family: tuple | None = None,
         factors: tuple | None = None,
     ):
-        rows = tuple(map(tuple, table))
-        try:
-            rows = tuple(map(tuple, map(map, itertools.repeat(operator.index), rows)))
-        except TypeError:
-            _raise_non_integer(rows)
-            raise
+        # one pass, faults in this order: every entry converted as a list
+        # index is (a failing row is read again to name its column), then
+        # each row and column compared as a set, row and column 0 with ids
+        rows = list(map(tuple, table))
+        for a, row in enumerate(rows):
+            try:
+                rows[a] = tuple(map(operator.index, row))
+            except TypeError:
+                try:
+                    for b, x in enumerate(row):
+                        operator.index(x)
+                except TypeError:
+                    raise ValueError(
+                        f"table entry {x!r} in row {a}, column {b} is not an integer"
+                    ) from None
+                raise
         n = len(rows)
+        if not n:
+            raise ValueError("a group has at least the identity element")
         ids = tuple(range(n))
         full = set(ids)
-        # the Latin-square and identity laws at C speed: each row and each
-        # column compared as a set, row 0 and column 0 with the indices; a
-        # table that fails is scanned again for its first fault
-        if not (
-            n
-            and all(map(n.__eq__, map(len, rows)))
-            and all(map(full.__eq__, map(set, rows)))
-        ):
-            _raise_first_fault(rows)
+        for a, row in enumerate(rows):
+            if len(row) != n:
+                raise ValueError(f"table row {a} has length {len(row)}, expected {n}")
+            if set(row) != full:
+                for v in row:
+                    if not 0 <= v < n:
+                        raise ValueError(f"table entry {v} out of range 0..{n - 1}")
+                raise ValueError(f"table row {a} is not a permutation")
         cols = list(zip(*rows))
-        if not (
-            all(map(full.__eq__, map(set, cols))) and rows[0] == cols[0] == ids
-        ):
-            _raise_first_fault(rows)
+        for b, col in enumerate(cols):
+            if set(col) != full:
+                raise ValueError(f"table column {b} is not a permutation")
+        if rows[0] != ids or cols[0] != ids:
+            raise ValueError("element 0 is not a two-sided identity")
         self.order = n
-        self.table = rows
+        self.table = tuple(rows)
         self.label = label
         self.family = family
         self.factors = factors
@@ -408,15 +386,12 @@ class Group:
         """Assert the full table axioms, associativity included.
 
         The constructor already enforces the Latin-square and identity
-        laws; this adds the exhaustive associativity check and inverse
-        uniqueness, so it is intended for tests and desk-scale audits.
+        laws; this adds the exhaustive associativity check, so it is
+        intended for tests and desk-scale audits.  With those laws,
+        associativity makes each right inverse a left inverse too.
         """
         if not kernels.is_associative(self.ktab):
             raise ValueError(f"{self.label}: table is not associative")
-        inv = self.ktab.inv
-        for a in range(self.order):
-            if self.table[a][inv[a]] != 0 or self.table[inv[a]][a] != 0:
-                raise ValueError(f"{self.label}: inverse of {a} is wrong")
 
 
 def _rotated(block: tuple[int, ...], k: int) -> tuple[int, ...]:

@@ -457,6 +457,19 @@ def test_bad_order_cap_setting_exits_2(argv, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv", [["degrees", "-g", "C(3)"], ["verify", "-g", "C(3)", "--claims", "C1"]]
+)
+def test_an_order_cap_setting_too_long_to_convert_exits_2(argv, monkeypatch, capsys):
+    # refused as a spec literal of that many digits is, by one short line
+    # that names the digit count instead of echoing every digit
+    monkeypatch.setenv("LATDEG_ORDER_CAP", "9" * 5000)
+    assert run_cli(argv) == (2, "")
+    assert _one_line_error(capsys) == (
+        "error: LATDEG_ORDER_CAP of 5000 digits is too long\n"
+    )
+
+
+@pytest.mark.parametrize(
     "argv", [["degrees", "-g", "S(3)"], ["verify", "-g", "S(3)", "--claims", "C1"]]
 )
 @pytest.mark.parametrize("cap", ["0", "-1"])

@@ -31,7 +31,12 @@ from latdeg import (
 )
 from latdeg.arith import tau
 from latdeg.degrees import check_n_max
-from latdeg.groups import builtin_families_up_to, check_family, make_family
+from latdeg.groups import (
+    builtin_families_up_to,
+    check_cap,
+    check_family,
+    make_family,
+)
 
 
 def _closure(g, elements) -> Subgroup:
@@ -333,9 +338,15 @@ def test_table_checks_name_the_fault(table, message):
         # every row before any column, every column before the identity
         ([[0, 1, 2], [1, 2, 0], [0, 2, 1]], "table column 0 is not a permutation"),
         ([[1, 0, 2], [0, 2, 1], [2, 1, 1]], "table row 2 is not a permutation"),
+        # every entry is converted before any Latin-square check
+        ([[0, 1, 2], [1, 2], [2, 0, 1.5]],
+         "table entry 1.5 in row 2, column 2 is not an integer"),
+        # the range check wins over a repeat earlier in the row
+        ([[0, 0, 7], [1, 2, 0], [2, 0, 1]], "table entry 7 out of range 0..2"),
     ],
     ids=["row-before-short-row", "repeat-before-range", "range-before-repeat",
-         "column-before-identity", "row-before-identity"],
+         "column-before-identity", "row-before-identity",
+         "integer-before-short-row", "range-before-earlier-repeat"],
 )
 def test_a_table_with_two_faults_reports_the_first(table, message):
     with pytest.raises(ValueError) as e:
@@ -364,6 +375,17 @@ def test_integer_like_entries_convert_to_int():
     g = Group([[0, _Index(1)], (x for x in (True, False))], "x")
     assert g.table == ((0, 1), (1, 0))
     assert all(type(x) is int for row in g.table for x in row)
+
+
+def test_validate_refuses_a_latin_square_that_is_not_associative():
+    # a loop of order 5: every row and column a permutation, element 0 a
+    # two-sided identity, so only associativity fails
+    table = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+             [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    loop = Group(table, "L5")
+    with pytest.raises(ValueError) as e:
+        loop.validate()
+    assert str(e.value) == "L5: table is not associative"
 
 
 # every family instance the benchmark and the golden reports build above
@@ -502,6 +524,18 @@ def test_a_cap_that_is_not_an_integer_is_refused(cap):
             build()
         assert not isinstance(e.value, OrderCapExceeded)
         assert str(e.value) == f"--order-cap must be an integer, got {cap!r}"
+
+
+def test_a_huge_cap_is_written_by_its_bit_length():
+    # the cap is written as the order is, never by str()
+    with pytest.raises(OrderCapExceeded) as e:
+        check_cap(10**5001, 10**5000, "x")
+    assert str(e.value) == "x has order <16613 bits>, above the cap <16610 bits>"
+    with pytest.raises(OrderCapExceeded) as e:
+        make_modular(2, 10**5, cap=10**5000)
+    assert str(e.value) == (
+        "M(2,100000) has order 2^100000, above the cap <16610 bits>"
+    )
 
 
 def test_primality_is_tested_only_for_a_p_whose_cube_is_under_the_cap():

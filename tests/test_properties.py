@@ -468,12 +468,15 @@ def test_verify_writer_matches_json_dumps(results):
 
 
 def _old_csv(header: list[str], rows: list[list]) -> str:
-    # the CSV the reports were written with before the writer
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    # the CSV the reports were written with before the writer, the same on
+    # every Python version: each row is written with "\r\n" line ends, so
+    # that a field with a CR or an LF is quoted, and ended with "\n"
+    lines = []
+    for row in [header, *rows]:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines)
 
 
 @few
@@ -487,6 +490,9 @@ def _old_csv(header: list[str], rows: list[list]) -> str:
             witnesses=("x,y", 'q"'), note="\r,",
         )
     ]
+)
+@example(
+    results=[claims.ClaimResult("C1", "S(3)", "a\rb", True, True, None, None)]
 )
 def test_verify_csv_writer_matches_csv_module(results):
     records = list(map(cli._verify_record, results))
@@ -556,6 +562,7 @@ def test_degrees_writer_matches_json_dumps(entries):
 @example(entries=[])
 @example(entries=[("D(4) x C(2)", 16, 35, 10, 1, 1, 1, [Fraction(-1, 3)])])
 @example(entries=[('M(2,3)"\n', 8, 6, 5, 1, 1, 1, [])])
+@example(entries=[("C(2)\r", 2, 2, 2, 1, 1, 1, [])])
 def test_degrees_csv_writer_matches_csv_module(entries):
     flat = [
         (label, order, size, classes, *map(cli._rational, (d, sd, ssd)),
