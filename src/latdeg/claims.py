@@ -450,14 +450,13 @@ def _c11(ctx: _Context):
     full = len(ctx.lattice) - 1
     ssd_g = degrees.ssd_group(ctx.lattice)
     sd_g = degrees.sd_group(ctx.lattice)
-    diag = {n: ctx.ssd_multi(full, n) for n in range(1, ctx.n_max + 1)}
     for h_idx, h in enumerate(ctx.lattice.subgroups):
         for n in range(1, ctx.n_max + 1):
-            lhs = ctx.ssd_multi(h_idx, n)
-            rhs = diag[n]
+            lhs, rhs = ctx.ssd_multi(h_idx, n), ctx.ssd_multi(full, n)
             yield _res(f"H=#{h_idx},n={n}", lhs <= rhs, lhs, rhs, witness=("H", h))
     for n in range(1, ctx.n_max + 1):
-        yield _res(f"diag,n={n}", diag[n] <= ssd_g, diag[n], ssd_g)
+        diag = ctx.ssd_multi(full, n)
+        yield _res(f"diag,n={n}", diag <= ssd_g, diag, ssd_g)
     yield _res("ssd<=sd", ssd_g <= sd_g, ssd_g, sd_g)
 
 
@@ -540,14 +539,14 @@ def _c13(ctx: _Context):
 def _c14(ctx: _Context):
     full = len(ctx.lattice) - 1
     size = len(ctx.lattice)
-    diag = {n: ctx.ssd_multi(full, n) for n in range(1, ctx.n_max + 1)}
     for h_idx, h in enumerate(ctx.lattice.subgroups):
         l_h = ctx.lattice.down[h_idx].bit_count()
         for n in range(1, ctx.n_max + 1):
             lhs = Fraction(l_h ** (n + 1), size ** (n + 1)) * ctx.ssd_multi(
                 h_idx, n, diagonal=True
             )
-            yield _res(f"H=#{h_idx},n={n}", lhs <= diag[n], lhs, diag[n])
+            rhs = ctx.ssd_multi(full, n)
+            yield _res(f"H=#{h_idx},n={n}", lhs <= rhs, lhs, rhs)
 
 
 @_claim(

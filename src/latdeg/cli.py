@@ -14,9 +14,14 @@ case-insensitive and whitespace is ignored.  Exit codes: 0 success,
 exceeded or ``--n-max`` above the depth cap of 4.  Identical
 invocations produce byte-identical output.
 
-Reports are written by one formatter.  Each record is flattened once,
-every rational to its num/den/approx strings, and the JSON and CSV
-writers of both subcommands read those fields.  The writers are
+Every integer typed on the command line, a flag's value or a spec
+literal, is read by one reader, so each refusal is one ``error:`` line
+that names a value too long for ``int()`` by its digit count.
+
+Reports are written by one formatter.  The JSON and CSV writers of both
+subcommands read the claim results and degree entries as they are, and
+each writer flattens every rational through the memo to its
+num/den/approx strings.  The writers are
 generators of text chunks, and a report is streamed: only the current
 slice of its text is held, never the whole.  They format the text
 directly.  JSON strings are escaped by the C function that
@@ -110,6 +115,20 @@ _INTEGER = re.compile(r"\d+")
 _FAMILY_NAME = re.compile(r"[A-Za-z]+\d*")
 
 
+def _integer(text: str, what: str) -> int:
+    """``text`` read as ``int()`` reads it; ValueError naming ``what`` if it
+    is not an integer, or, by its digit count, if it has more digits than
+    ``int()`` converts."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip()
+        digits = digits[1:] if digits[:1] in ("+", "-") else digits
+        if digits.isdecimal():  # more digits than int() converts
+            raise ValueError(f"{what} of {len(digits)} digits is too long") from None
+        raise ValueError(f"{what} must be an integer, got {text!r}") from None
+
+
 def parse_group_spec(text: str) -> GroupSpec:
     """Parse ``atom ('x' atom)*`` with positions in error messages."""
     pos = 0
@@ -134,11 +153,9 @@ def parse_group_spec(text: str) -> GroupSpec:
         if not m:
             raise GroupSpecError("expected an integer", pos)
         try:
-            value = int(m.group())
-        except ValueError:  # more digits than int() converts
-            raise GroupSpecError(
-                f"integer literal of {len(m.group())} digits is too long", pos
-            ) from None
+            value = _integer(m.group(), "integer literal")
+        except ValueError as exc:
+            raise GroupSpecError(str(exc), pos) from None
         pos = m.end()
         return value
 
@@ -193,14 +210,17 @@ _CSV_FLAG = {None: "", True: "true", False: "false"}
 _NO_RATIONAL: Rational = ("", "", "")
 
 
-def _rational(value: Fraction | int) -> Rational:
-    """``value`` flattened to its report strings: num, den, approx.
+def _rational(value: Fraction | int | None) -> Rational | None:
+    """``value`` flattened to its report strings: num, den, approx; None
+    stays None.
 
     A report repeats few values many times (verify-48: 34,400 sides,
     1,388 distinct), mostly close together, so the strings come from a
     memo of the REPORT_MEMO most recently used values.  It is keyed by
     the integer pair, which hashes far faster than a Fraction.
     """
+    if value is None:
+        return None
     return _flattened(value.numerator, value.denominator)
 
 
@@ -209,12 +229,14 @@ def _flattened(num: int, den: int) -> Rational:
     return str(num), str(den), _approx12(Fraction(num, den))
 
 
-def _rational_json(r: Rational | None, pad: str) -> str:
-    """A flattened rational as a JSON object closed at indentation ``pad``.
+def _rational_json(value: Fraction | int | None, pad: str) -> str:
+    """``value`` flattened as a JSON object closed at indentation ``pad``,
+    or null.
 
     Its strings hold only digits, ``-`` and ``.``, which JSON does not
     escape.
     """
+    r = _rational(value)
     if r is None:
         return "null"
     return (
@@ -253,8 +275,8 @@ def _csv_str(text: str) -> str:
 
 
 def _degrees_entry(spec: GroupSpec, n_max: int, cap: int | None) -> tuple:
-    """One group's report record: label, order, lattice size, class
-    count, then d, sd, ssd and the list ssd_1..ssd_n_max flattened."""
+    """One group's report entry: label, order, lattice size, class
+    count, then d, sd, ssd and the list ssd_1..ssd_n_max."""
     group = spec.build(cap)
     lat = enumerate_subgroups(group, cap=cap)
     full = group.full_subgroup()
@@ -263,10 +285,10 @@ def _degrees_entry(spec: GroupSpec, n_max: int, cap: int | None) -> tuple:
         group.order,
         len(lat),
         characters.class_count(group),
-        _rational(degrees.d_group(group)),
-        _rational(degrees.sd_group(lat)),
-        _rational(degrees.ssd_group(lat)),
-        [_rational(degrees.ssd_multi(lat, full, n)) for n in range(1, n_max + 1)],
+        degrees.d_group(group),
+        degrees.sd_group(lat),
+        degrees.ssd_group(lat),
+        [degrees.ssd_multi(lat, full, n) for n in range(1, n_max + 1)],
     )
 
 
@@ -295,7 +317,8 @@ def _degrees_csv(entries: Iterable[tuple], n_max: int) -> Iterator[str]:
         ",".join(
             [
                 _csv_str(label), str(order), str(size), str(classes),
-                *d, *sd, *ssd, *chain.from_iterable(ssd_n),
+                *_rational(d), *_rational(sd), *_rational(ssd),
+                *chain.from_iterable(map(_rational, ssd_n)),
             ]
         )
         + "\n"
@@ -303,23 +326,7 @@ def _degrees_csv(entries: Iterable[tuple], n_max: int) -> Iterator[str]:
     )
 
 
-def _verify_record(r: ClaimResult) -> tuple:
-    """A claim result as a report record, its two sides flattened."""
-    return (
-        r.claim_id,
-        r.group_label,
-        r.instance,
-        r.applicable,
-        r.holds,
-        r.strict_observed,
-        None if r.lhs is None else _rational(r.lhs),
-        None if r.rhs is None else _rational(r.rhs),
-        r.witnesses,
-        r.note,
-    )
-
-
-def _verify_json(records: Iterable[tuple]) -> Iterator[str]:
+def _verify_json(results: Iterable[ClaimResult]) -> Iterator[str]:
     return _json_report(
         f'{{\n    "claim": {_json_str(claim)},\n'
         f'    "group": {_json_str(group)},\n'
@@ -332,12 +339,12 @@ def _verify_json(records: Iterable[tuple]) -> Iterator[str]:
         f'    "witnesses": '
         f'{_json_list([_json_str(w) for w in witnesses], "    ")},\n'
         f'    "note": {"null" if note is None else _json_str(note)}\n  }}'
-        for claim, group, instance, applicable, holds, strict, lhs, rhs,
-        witnesses, note in records
+        for claim, group, instance, applicable, holds, lhs, rhs, strict,
+        witnesses, note in results
     )
 
 
-def _verify_csv(records: Iterable[tuple]) -> Iterator[str]:
+def _verify_csv(results: Iterable[ClaimResult]) -> Iterator[str]:
     yield (
         "claim,group,instance,applicable,holds,strict,"
         "lhs_num,lhs_den,lhs_approx,rhs_num,rhs_den,rhs_approx,witnesses,note\n"
@@ -347,13 +354,13 @@ def _verify_csv(records: Iterable[tuple]) -> Iterator[str]:
             [
                 _csv_str(claim), _csv_str(group), _csv_str(instance),
                 _CSV_FLAG[applicable], _CSV_FLAG[holds], _CSV_FLAG[strict],
-                *(lhs or _NO_RATIONAL), *(rhs or _NO_RATIONAL),
+                *(_rational(lhs) or _NO_RATIONAL), *(_rational(rhs) or _NO_RATIONAL),
                 _csv_str(";".join(witnesses)), _csv_str(note or ""),
             ]
         )
         + "\n"
-        for claim, group, instance, applicable, holds, strict, lhs, rhs,
-        witnesses, note in records
+        for claim, group, instance, applicable, holds, lhs, rhs, strict,
+        witnesses, note in results
     )
 
 
@@ -368,11 +375,12 @@ def _failure(exc: ValueError) -> int:
     return _error(exc, EXIT_USAGE)
 
 
-def _settings(args: argparse.Namespace) -> int:
-    """Effective order cap; ValueError on a bad --n-max or cap setting,
-    before any group is built."""
-    degrees.check_n_max(args.n_max, "--n-max")
-    return order_cap(args.order_cap)
+def _settings(args: argparse.Namespace) -> tuple[int, int]:
+    """(depth, effective order cap) read from the text of --n-max and
+    --order-cap; ValueError on a bad one, before any group is built."""
+    n_max = _integer(args.n_max, "--n-max")
+    cap = None if args.order_cap is None else _integer(args.order_cap, "--order-cap")
+    return degrees.check_n_max(n_max, "--n-max"), order_cap(cap)
 
 
 def _slices(chunks: Iterable[str]) -> Iterator[str]:
@@ -457,15 +465,15 @@ def _emit(chunks: Iterable[str], out_path: str | None) -> int:
 
 def cmd_degrees(args: argparse.Namespace) -> int:
     try:
-        cap = _settings(args)
+        n_max, cap = _settings(args)
         # every spec is checked before any group is built, as in verify
         specs = [parse_group_spec(text).check(cap) for text in args.group]
-        entries = [_degrees_entry(spec, args.n_max, cap) for spec in specs]
+        entries = [_degrees_entry(spec, n_max, cap) for spec in specs]
     except ValueError as exc:
         return _failure(exc)
     if args.format == "json":
         return _emit(_degrees_json(entries), args.out)
-    return _emit(_degrees_csv(entries, args.n_max), args.out)
+    return _emit(_degrees_csv(entries, n_max), args.out)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -476,9 +484,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.claims is not None:
         claim_filter = [c.strip() for c in args.claims.split(",") if c.strip()]
     try:
-        cap = _settings(args)
+        n_max, cap = _settings(args)
         if args.all_up_to is not None:
-            max_order = _parameter(args.all_up_to, "--all-up-to", 1)
+            max_order = _integer(args.all_up_to, "--all-up-to")
+            max_order = _parameter(max_order, "--all-up-to", 1)
             specs = [
                 GroupSpec((family,))
                 for family in builtin_families_up_to(max_order, cap=cap)
@@ -491,14 +500,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = claims.run_suite(
             (spec.build(cap) for spec in specs),
             claim_filter=claim_filter,
-            n_max=args.n_max,
+            n_max=n_max,
             order_cap=cap,
         )
     except ValueError as exc:
         return _failure(exc)
-    records = map(_verify_record, report.results)
     writer = _verify_json if args.format == "json" else _verify_csv
-    code = _emit(writer(records), args.out)
+    code = _emit(writer(report.results), args.out)
     if code != EXIT_OK:
         return code
     return EXIT_OK if report.all_hold else EXIT_CLAIM_FAILED
@@ -513,13 +521,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--n-max", type=int, default=degrees.DEFAULT_N_MAX,
+        "--n-max", default=str(degrees.DEFAULT_N_MAX),
         help="depth for the iterated degrees",
     )
-    common.add_argument(
-        "--order-cap", type=int, default=None,
-        help="group order cap (default 200, or LATDEG_ORDER_CAP)",
-    )
+    common.add_argument("--order-cap", help="group order cap (default 200)")
     common.add_argument(
         "--format", choices=("json", "csv"), default="json", help="report format"
     )
@@ -540,7 +545,7 @@ def _build_parser() -> argparse.ArgumentParser:
     target = p_ver.add_mutually_exclusive_group(required=True)
     target.add_argument("--group", "-g", action="append", help="group spec (repeatable)")
     target.add_argument(
-        "--all-up-to", type=int, metavar="ORDER",
+        "--all-up-to", metavar="ORDER",
         help="verify every built-in family instance of order <= ORDER",
     )
     p_ver.add_argument("--claims", default=None, help="comma-separated claim ids")

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import os
 from functools import cached_property
 from typing import Sequence
 
@@ -23,7 +22,6 @@ from latdeg._kernels import bit_positions
 from latdeg.arith import is_prime
 
 DEFAULT_ORDER_CAP = 200
-ORDER_CAP_ENV = "LATDEG_ORDER_CAP"
 # an M(p, m) whose bit lengths show p^m >= 2^_POWER_BITS (about 10^5178) is
 # refused without forming p^m (seconds for a large m); its order reads p^m
 _POWER_BITS = 17_200
@@ -34,30 +32,15 @@ class OrderCapExceeded(ValueError):
 
 
 def order_cap(cap: int | None = None) -> int:
-    """Effective order cap: explicit value, else LATDEG_ORDER_CAP, else 200.
+    """Effective order cap: explicit value, else 200.
 
-    An explicit value is the CLI's ``--order-cap``; it and the variable
-    must be integers of at least 1 (bools are refused), else ValueError
-    names the one at fault.
+    An explicit value is the CLI's ``--order-cap`` or a ``cap=`` or
+    ``order_cap=`` keyword; it must be an integer of at least 1 (bools
+    are refused), else ValueError.
     """
-    if cap is not None:
-        return _parameter(cap, "--order-cap", 1)
-    env = os.environ.get(ORDER_CAP_ENV)
-    if not env:
+    if cap is None:
         return DEFAULT_ORDER_CAP
-    try:
-        value = int(env)
-    except ValueError:
-        digits = env.strip()
-        digits = digits[1:] if digits[:1] in ("+", "-") else digits
-        if digits.isdecimal():  # more digits than int() converts
-            raise ValueError(
-                f"{ORDER_CAP_ENV} of {len(digits)} digits is too long"
-            ) from None
-        raise ValueError(
-            f"{ORDER_CAP_ENV} must be an integer, got {env!r}"
-        ) from None
-    return _parameter(value, ORDER_CAP_ENV, 1)
+    return _parameter(cap, "--order-cap", 1)
 
 
 def _decimal(value: int) -> str:

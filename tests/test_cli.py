@@ -125,10 +125,10 @@ def test_exit_codes():
 
 
 def test_order_cap_flag_and_env(monkeypatch):
+    # the flag raises the cap; an environment variable neither lowers nor
+    # raises it
     assert run_cli(["degrees", "-g", "C(300)", "--order-cap", "400"])[0] == 0
     monkeypatch.setenv("LATDEG_ORDER_CAP", "32")
-    assert run_cli(["degrees", "-g", "C(64)"])[0] == 3
-    monkeypatch.delenv("LATDEG_ORDER_CAP")
     assert run_cli(["degrees", "-g", "C(64)"])[0] == 0
 
 
@@ -448,25 +448,21 @@ def _one_line_error(capsys) -> str:
 
 
 @pytest.mark.parametrize(
-    "argv", [["degrees", "-g", "C(4)"], ["verify", "-g", "C(4)", "--claims", "C1"]]
+    "argv",
+    [
+        ["degrees", "-g", "C(3)", "--n-max"],
+        ["degrees", "-g", "C(3)", "--order-cap"],
+        ["verify", "-g", "C(3)", "--claims", "C1", "--n-max"],
+        ["verify", "-g", "C(3)", "--claims", "C1", "--order-cap"],
+        ["verify", "--all-up-to"],
+    ],
+    ids=lambda argv: f"{argv[0]}_{argv[-1]}",
 )
-def test_bad_order_cap_setting_exits_2(argv, monkeypatch, capsys):
-    monkeypatch.setenv("LATDEG_ORDER_CAP", "abc")
-    assert run_cli(argv) == (2, "")
-    assert "LATDEG_ORDER_CAP" in _one_line_error(capsys)
-
-
-@pytest.mark.parametrize(
-    "argv", [["degrees", "-g", "C(3)"], ["verify", "-g", "C(3)", "--claims", "C1"]]
-)
-def test_an_order_cap_setting_too_long_to_convert_exits_2(argv, monkeypatch, capsys):
+def test_an_integer_flag_too_long_to_convert_exits_2(argv, capsys):
     # refused as a spec literal of that many digits is, by one short line
     # that names the digit count instead of echoing every digit
-    monkeypatch.setenv("LATDEG_ORDER_CAP", "9" * 5000)
-    assert run_cli(argv) == (2, "")
-    assert _one_line_error(capsys) == (
-        "error: LATDEG_ORDER_CAP of 5000 digits is too long\n"
-    )
+    assert run_cli([*argv, "9" * 5000]) == (2, "")
+    assert _one_line_error(capsys) == f"error: {argv[-1]} of 5000 digits is too long\n"
 
 
 @pytest.mark.parametrize(
@@ -478,17 +474,6 @@ def test_order_cap_flag_below_1_exits_2(argv, cap, capsys):
     assert run_cli([*argv, "--order-cap", cap]) == (2, "")
     assert "--order-cap" in _one_line_error(capsys)
     assert run_cli([*argv, "--order-cap", "6"])[0] == 0
-
-
-@pytest.mark.parametrize(
-    "argv", [["degrees", "-g", "S(3)"], ["verify", "-g", "S(3)", "--claims", "C1"]]
-)
-def test_order_cap_setting_below_1_exits_2(argv, monkeypatch, capsys):
-    monkeypatch.setenv("LATDEG_ORDER_CAP", "0")
-    assert run_cli(argv) == (2, "")
-    assert "LATDEG_ORDER_CAP" in _one_line_error(capsys)
-    monkeypatch.setenv("LATDEG_ORDER_CAP", "6")
-    assert run_cli(argv)[0] == 0
 
 
 @pytest.mark.parametrize(
@@ -572,26 +557,27 @@ def test_degrees_checks_every_spec_before_it_builds_any(
     assert enumerated == []
 
 
-# (arguments after the subcommand, LATDEG_ORDER_CAP, exit code, error line)
+# (arguments after the subcommand, exit code, error line)
 _REFUSALS = [
-    (["-g", "C(6"], None, 2, "expected ')' (at position 3)"),
-    (["-g", "C(0)"], None, 2, "cyclic order must be at least 1, got 0"),
-    (["-g", "S(6)"], None, 2, "symmetric group parameter must be at most 5, got 6"),
-    (["-g", "M(4,3)"], None, 2, "modular group parameter p must be prime, got 4"),
-    (["-g", "M(4,2)"], None, 2, "modular group parameter p must be prime, got 4"),
-    (["-g", "M(2,2)"], None, 2, "modular group parameter m must be at least 3, got 2"),
-    (["-g", "C(999)"], None, 3, "C(999) has order 999, above the cap 200"),
-    (["-g", "C(4)", "--n-max", "-1"], None, 2, "--n-max must be at least 0, got -1"),
-    (["-g", "C(4)", "--n-max", "5"], None, 3, "--n-max must be at most 4, got 5"),
-    (["-g", "C(4)", "--order-cap", "0"], None, 2,
-     "--order-cap must be at least 1, got 0"),
-    (["-g", "C(4)"], "0", 2, "LATDEG_ORDER_CAP must be at least 1, got 0"),
-    (["-g", "C(4)"], "abc", 2, "LATDEG_ORDER_CAP must be an integer, got 'abc'"),
+    (["-g", "C(6"], 2, "expected ')' (at position 3)"),
+    (["-g", "C(0)"], 2, "cyclic order must be at least 1, got 0"),
+    (["-g", "S(6)"], 2, "symmetric group parameter must be at most 5, got 6"),
+    (["-g", "M(4,3)"], 2, "modular group parameter p must be prime, got 4"),
+    (["-g", "M(4,2)"], 2, "modular group parameter p must be prime, got 4"),
+    (["-g", "M(2,2)"], 2, "modular group parameter m must be at least 3, got 2"),
+    (["-g", "C(999)"], 3, "C(999) has order 999, above the cap 200"),
+    (["-g", "C(4)", "--n-max", "-1"], 2, "--n-max must be at least 0, got -1"),
+    (["-g", "C(4)", "--n-max", "5"], 3, "--n-max must be at most 4, got 5"),
+    (["-g", "C(4)", "--n-max", "abc"], 2, "--n-max must be an integer, got 'abc'"),
+    (["-g", "C(4)", "--order-cap", "0"], 2, "--order-cap must be at least 1, got 0"),
+    (["-g", "C(4)", "--order-cap", "2.5"], 2,
+     "--order-cap must be an integer, got '2.5'"),
 ]
 _VERIFY_REFUSALS = [
-    (["--all-up-to", "0"], None, 2, "--all-up-to must be at least 1, got 0"),
-    (["-g", "C(4)", "--claims", "C99"], None, 2, "unknown claim id 'C99'"),
-    (["-g", "C(4)", "--claims", "C1,C1"], None, 2, "claim id 'C1' is selected twice"),
+    (["--all-up-to", "0"], 2, "--all-up-to must be at least 1, got 0"),
+    (["--all-up-to", "x"], 2, "--all-up-to must be an integer, got 'x'"),
+    (["-g", "C(4)", "--claims", "C99"], 2, "unknown claim id 'C99'"),
+    (["-g", "C(4)", "--claims", "C1,C1"], 2, "claim id 'C1' is selected twice"),
 ]
 
 
@@ -601,21 +587,12 @@ _REFUSAL_CASES = [
 
 
 @pytest.mark.parametrize(
-    "command, args, env, code, line",
+    "command, args, code, line",
     _REFUSAL_CASES,
-    ids=[
-        "_".join([command, *args] + ([f"LATDEG_ORDER_CAP={env}"] if env else []))
-        for command, args, env, _, _ in _REFUSAL_CASES
-    ],
+    ids=["_".join([command, *args]) for command, args, _, _ in _REFUSAL_CASES],
 )
-def test_each_refusal_prints_its_pinned_error_line(
-    command, args, env, code, line, monkeypatch, capsys
-):
+def test_each_refusal_prints_its_pinned_error_line(command, args, code, line, capsys):
     # the exact wording of every refusal, so that a change of one shows here
-    if env is None:
-        monkeypatch.delenv("LATDEG_ORDER_CAP", raising=False)
-    else:
-        monkeypatch.setenv("LATDEG_ORDER_CAP", env)
     assert run_cli([command, *args]) == (code, "")
     assert _one_line_error(capsys) == f"error: {line}\n"
 
@@ -626,22 +603,31 @@ def test_each_refusal_prints_its_pinned_error_line(
 def test_default_n_max_is_the_claims_default(argv):
     # one default depth, defined in degrees, for the CLI and the claims
     args = cli._build_parser().parse_args(argv)
-    assert args.n_max == claims.DEFAULT_N_MAX
+    assert cli._settings(args)[0] == claims.DEFAULT_N_MAX
 
 
 def test_stale_backend_variable_is_ignored():
-    # there is one kernel backend; an old LATDEG_BACKEND setting must not
-    # change or break a run
-    env = {k: v for k, v in os.environ.items() if k != "LATDEG_BACKEND"}
+    # there is one kernel backend, and the cap is --order-cap or 200; an old
+    # LATDEG_BACKEND or LATDEG_ORDER_CAP setting must not change or break a run
+    stale = {"LATDEG_BACKEND": "bogus", "LATDEG_ORDER_CAP": "2"}
+    env = {k: v for k, v in os.environ.items() if k not in stale}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(latdeg.__file__))
-    argv = [sys.executable, "-m", "latdeg.cli", "degrees", "-g", "S(3)"]
-    plain = subprocess.run(argv, capture_output=True, text=True, env=env)
-    stale = subprocess.run(
-        argv, capture_output=True, text=True, env={**env, "LATDEG_BACKEND": "bogus"}
-    )
-    assert (stale.returncode, stale.stderr) == (0, "")
-    assert stale.stdout == plain.stdout
+
+    def run(group, **variable):
+        argv = [sys.executable, "-m", "latdeg.cli", "degrees", "-g", group]
+        variables = {**env, **variable}
+        return subprocess.run(argv, capture_output=True, text=True, env=variables)
+
+    plain = run("S(3)")
     assert plain.returncode == 0 and json.loads(plain.stdout)[0]["group"] == "S(3)"
+    for name, value in stale.items():
+        with_stale = run("S(3)", **{name: value})
+        assert (with_stale.returncode, with_stale.stderr) == (0, ""), name
+        assert with_stale.stdout == plain.stdout, name
+    high = run("C(250)", LATDEG_ORDER_CAP="1000")
+    assert (high.returncode, high.stdout, high.stderr) == (
+        3, "", "error: C(250) has order 250, above the cap 200\n"
+    )
 
 
 class _ShortWrites(io.BufferedIOBase):
@@ -717,14 +703,14 @@ def test_report_writer_holds_a_slice_not_the_report(fmt, results24, monkeypatch)
     # its encoding are already 128 KiB, a quarter of the CSV report, so
     # the slice is made smaller here.
     writer = cli._verify_json if fmt == "json" else cli._verify_csv
-    report = "".join(writer(map(cli._verify_record, results24))).encode("utf-8")
+    report = "".join(writer(results24)).encode("utf-8")
     monkeypatch.setattr(cli, "REPORT_SLICE", 1 << 14)
     sink = _HashSink()
     stream = io.TextIOWrapper(io.BufferedWriter(sink), encoding="utf-8")
     monkeypatch.setattr(sys, "stdout", stream)
     tracemalloc.start()
     try:
-        code = cli._emit(writer(map(cli._verify_record, results24)), None)
+        code = cli._emit(writer(results24), None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

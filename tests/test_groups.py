@@ -591,10 +591,9 @@ _INTEGER_INPUTS = {
     "value", [True, 2.5, "3", -_HUGE, _HUGE],
     ids=["True", "2.5", "'3'", "-10**5000", "10**5000"],
 )
-def test_every_integer_input_gets_an_answer_or_its_error(name, value, monkeypatch):
+def test_every_integer_input_gets_an_answer_or_its_error(name, value):
     # one check serves them all: a bool or a non-integer is refused by name,
     # and a huge value is written by its bit length, never by str()
-    monkeypatch.delenv("LATDEG_ORDER_CAP", raising=False)
     call, what, below, above = _INTEGER_INPUTS[name]
     expected = ValueError if type(value) is not int else below if value < 0 else above
     if isinstance(expected, tuple):

@@ -462,7 +462,7 @@ def _old_result_obj(r: claims.ClaimResult) -> dict:
     results=[claims.ClaimResult("C1", "S(3)", "", False, None, None, None)]
 )
 def test_verify_writer_matches_json_dumps(results):
-    text = "".join(cli._verify_json(map(cli._verify_record, results)))
+    text = "".join(cli._verify_json(results))
     expected = json.dumps([_old_result_obj(r) for r in results], indent=2)
     assert text == expected + "\n"
 
@@ -495,8 +495,7 @@ def _old_csv(header: list[str], rows: list[list]) -> str:
     results=[claims.ClaimResult("C1", "S(3)", "a\rb", True, True, None, None)]
 )
 def test_verify_csv_writer_matches_csv_module(results):
-    records = list(map(cli._verify_record, results))
-    text = "".join(cli._verify_csv(records))
+    text = "".join(cli._verify_csv(results))
     flag = {None: "", True: "true", False: "false"}
     expected = _old_csv(
         [
@@ -508,11 +507,12 @@ def test_verify_csv_writer_matches_csv_module(results):
         [
             [
                 claim, group, instance, flag[applicable], flag[holds], flag[strict],
-                *(lhs or ("", "", "")), *(rhs or ("", "", "")),
+                *(cli._rational(lhs) or ("", "", "")),
+                *(cli._rational(rhs) or ("", "", "")),
                 ";".join(witnesses), note or "",
             ]
-            for claim, group, instance, applicable, holds, strict, lhs, rhs,
-            witnesses, note in records
+            for claim, group, instance, applicable, holds, lhs, rhs, strict,
+            witnesses, note in results
         ],
     )
     assert text == expected
@@ -536,11 +536,6 @@ def degrees_entries(draw):
 @example(entries=[("S(3)", 6, 6, 3, Fraction(1, 2), Fraction(5, 6), 1, [])])
 @example(entries=[("S(3)", 6, 6, 3, 1, 1, 1, [Fraction(5, 12), 1])])
 def test_degrees_writer_matches_json_dumps(entries):
-    flat = [
-        (label, order, size, classes, *map(cli._rational, (d, sd, ssd)),
-         [cli._rational(v) for v in ssd_n])
-        for label, order, size, classes, d, sd, ssd, ssd_n in entries
-    ]
     old = [
         {
             "group": label,
@@ -554,7 +549,7 @@ def test_degrees_writer_matches_json_dumps(entries):
         }
         for label, order, size, classes, d, sd, ssd, ssd_n in entries
     ]
-    assert "".join(cli._degrees_json(flat)) == json.dumps(old, indent=2) + "\n"
+    assert "".join(cli._degrees_json(entries)) == json.dumps(old, indent=2) + "\n"
 
 
 @few
@@ -582,7 +577,7 @@ def test_degrees_csv_writer_matches_csv_module(entries):
             for label, order, size, classes, d, sd, ssd, ssd_n in flat
         ],
     )
-    assert "".join(cli._degrees_csv(flat, n_max)) == expected
+    assert "".join(cli._degrees_csv(entries, n_max)) == expected
 
 
 # exact ties at the twelfth place, m / (2 * 10**12) with m odd
