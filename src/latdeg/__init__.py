@@ -5,7 +5,7 @@ The claim harness, ``latdeg.claims``, is imported on first use of one
 of its names here, so a run that computes degrees only never loads it.
 """
 
-from latdeg.characters import class_count, equal_generator_invariance, ssd_cyclic, xi
+from latdeg.characters import class_count, equal_generator_invariance, xi
 from latdeg.degrees import (
     BudgetExceeded,
     bracket_table,
@@ -29,13 +29,7 @@ from latdeg.groups import (
     order_cap,
     quotient,
 )
-from latdeg.lattice import (
-    Lattice,
-    commutator_subgroup,
-    enumerate_subgroups,
-    normal_subgroups,
-    permutes,
-)
+from latdeg.lattice import Lattice, enumerate_subgroups, normal_subgroups
 
 __version__ = "0.1.0"
 
@@ -54,7 +48,6 @@ __all__ = [
     "bracket_table",
     "builtin_groups_up_to",
     "class_count",
-    "commutator_subgroup",
     "d_group",
     "d_multi",
     "d_pair",
@@ -68,12 +61,10 @@ __all__ = [
     "make_symmetric",
     "normal_subgroups",
     "order_cap",
-    "permutes",
     "quotient",
     "run_claim",
     "run_suite",
     "sd_group",
-    "ssd_cyclic",
     "ssd_group",
     "ssd_multi",
     "xi",

@@ -181,6 +181,10 @@ def closure_mask(tab: Table, mask: int, base: int = 1) -> int:
 
 
 def product_mask(tab: Table, amask: int, bmask: int) -> int:
+    """The element set AB.  Nothing in latdeg calls it: the lattice
+    answers HK = KH from the orders of H n K and H v K
+    (``Lattice.perm_rows``).  It stays while perfbench/layertrace.py
+    wraps it as a counted kernel, whose absence a traced run reports."""
     rows = tab.rows
     out = 0
     bs = bit_positions(bmask)

@@ -11,8 +11,6 @@ at most 5, got 6").
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from latdeg.degrees import phi_rows
 from latdeg.groups import Group, _parameter, bit_positions
 from latdeg.lattice import Lattice
@@ -23,14 +21,6 @@ def xi(lat: Lattice, element: int) -> int:
     rows = phi_rows(lat)
     below = lat.down[lat.cyclic[element]]
     return sum(rows[i].bit_count() for i in bit_positions(below))
-
-
-def ssd_cyclic(lat: Lattice, element: int) -> Fraction:
-    """xi(g) normalized by |L(<g>)| * |L(G)|; equals the n = 1 iterated
-    degree of the cyclic subgroup generated by the element."""
-    value = xi(lat, element)  # checks the element index
-    lsub = lat.down[lat.cyclic[element]].bit_count()
-    return Fraction(value, lsub * len(lat))
 
 
 def class_count(g: Group) -> int:

@@ -117,15 +117,17 @@ _FAMILY_NAME = re.compile(r"[A-Za-z]+\d*")
 
 def _integer(text: str, what: str) -> int:
     """``text`` read as ``int()`` reads it; ValueError naming ``what`` if it
-    is not an integer, or, by its digit count, if it has more digits than
-    ``int()`` converts."""
+    is not an integer, or, by its digit count without ``_`` separators, if
+    it has more digits than ``int()`` converts."""
     try:
         return int(text)
     except ValueError:
         digits = text.strip()
         digits = digits[1:] if digits[:1] in ("+", "-") else digits
-        if digits.isdecimal():  # more digits than int() converts
-            raise ValueError(f"{what} of {len(digits)} digits is too long") from None
+        groups = digits.split("_")  # int() reads one "_" between two digits
+        if all(map(str.isdecimal, groups)):  # more digits than int() converts
+            count = sum(map(len, groups))
+            raise ValueError(f"{what} of {count} digits is too long") from None
         raise ValueError(f"{what} must be an integer, got {text!r}") from None
 
 

@@ -512,11 +512,16 @@ def direct_product(g1: Group, g2: Group, *, cap: int | None = None) -> Group:
 def quotient(n_sub: Subgroup) -> Group:
     """Group on the cosets of a normal subgroup, identity coset first.
 
+    An element set that is not a subgroup raises ValueError before the
+    normality test: a set that conjugation keeps, such as the identity
+    with the transpositions of S(3), need not have cosets.
+
     The claim runners do not build quotients: they read L(G/N) and its
     commuting pairs off the parent lattice (see ``claims``).  This stays
     as public API and as the tests' reference for that reading.
     """
     g = n_sub.group
+    g.ktab.record(n_sub.mask)  # ValueError: element set is not a subgroup
     if not kernels.is_normal_mask(g.ktab, n_sub.mask):
         raise ValueError(f"subgroup of size {n_sub.size} is not normal in {g.label}")
     members = n_sub.members()

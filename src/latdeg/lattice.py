@@ -1,4 +1,4 @@
-"""Complete subgroup lattices and subgroup-level primitives.
+"""Complete subgroup lattices.
 
 Enumeration is by cyclic extension: the seeds are the cyclic subgroups,
 and every member found is joined with each cyclic seed it does not
@@ -14,7 +14,8 @@ in their class), and the permutability, commuting and bracket tables,
 each a ``cached_property``: built on first use, then held as an
 instance attribute.  It is the one handle on a group's subgroups:
 the degree, character and claim code takes a lattice and reads its
-group from ``lat.group``.
+group from ``lat.group``, and a question about a pair of members
+(does HK = KH, is [H, K] = 1, what is [H, K]) is read off its rows.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from collections import Counter
 from functools import cached_property
 
 from latdeg import _kernels as kernels
-from latdeg.groups import Group, Subgroup, bit_positions, check_cap, same_group
+from latdeg.groups import Group, Subgroup, bit_positions, check_cap
 
 
 def _lex_key(mask: int, n: int) -> int:
@@ -239,27 +240,6 @@ def enumerate_subgroups(g: Group, *, cap: int | None = None) -> Lattice:
                 masks.append(joined)
         k += 1
     return Lattice(g, [Subgroup(m, g) for m in masks])
-
-
-def permutes(h: Subgroup, k: Subgroup) -> bool:
-    """True iff the element sets HK and KH coincide."""
-    g = same_group(h, k)
-    hk = kernels.product_mask(g.ktab, h.mask, k.mask)
-    kh = kernels.product_mask(g.ktab, k.mask, h.mask)
-    return hk == kh
-
-
-def commutator_subgroup(h: Subgroup, k: Subgroup) -> Subgroup:
-    """[H, K]: subgroup generated by all commutators [h, k].
-
-    The kernel works from generators of H and K, so both must be
-    subgroups; any other element set raises ValueError.
-    """
-    g = same_group(h, k)
-    for s in (h, k):
-        if kernels.closure_mask(g.ktab, s.mask) != s.mask:
-            raise ValueError("element set is not a subgroup")
-    return Subgroup(kernels.commutator_closure_mask(g.ktab, h.mask, k.mask), g)
 
 
 def normal_subgroups(lat: Lattice) -> list[Subgroup]:

@@ -3,9 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import oracles
-from latdeg import _kernels as kernels
 from latdeg import (
-    Subgroup,
     class_count,
     d_group,
     enumerate_subgroups,
@@ -14,7 +12,6 @@ from latdeg import (
     make_dihedral,
     make_quaternion,
     make_symmetric,
-    ssd_cyclic,
     ssd_multi,
     xi,
 )
@@ -54,26 +51,26 @@ def test_xi_class_function(builtin24):
             assert len({values[a] for a in cls}) == 1
 
 
-def test_ssd_cyclic():
+def test_ssd_cyclic(builtin16):
+    # ssd(<g>) at n = 1, read at the lattice position of <g>, is xi(g)
+    # normalized by |L(<g>)| * |L(G)|
+    for g, lat in builtin16:
+        for a in range(g.order):
+            c = lat.cyclic[a]
+            value = ssd_multi(lat, lat[c], 1)
+            assert value * lat.down[c].bit_count() * len(lat) == xi(lat, a)
     s3 = make_symmetric(3)
     lat = enumerate_subgroups(s3)
-    assert ssd_cyclic(lat, 0) == 1
+    assert ssd_multi(lat, lat[lat.cyclic[0]], 1) == 1
     t = next(a for a in range(1, 6) if s3.table[a][a] == 0)
-    assert ssd_cyclic(lat, t) == Fraction(2, 3)
+    assert ssd_multi(lat, lat[lat.cyclic[t]], 1) == Fraction(2, 3)
     q8 = make_quaternion()
     latq = enumerate_subgroups(q8)
     t = q8.table
     minus_one = next(
         a for a in range(1, 8) if all(t[a][b] == t[b][a] for b in range(8))
     )
-    assert ssd_cyclic(latq, minus_one) == 1
-
-
-def test_ssd_cyclic_equals_iterated_degree(builtin16):
-    for g, lat in builtin16:
-        for a in range(g.order):
-            cyc = Subgroup(kernels.closure_mask(g.ktab, 1 << a), g)
-            assert ssd_cyclic(lat, a) == ssd_multi(lat, cyc, 1)
+    assert ssd_multi(latq, latq[latq.cyclic[minus_one]], 1) == 1
 
 
 def test_class_count():

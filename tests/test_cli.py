@@ -460,9 +460,15 @@ def _one_line_error(capsys) -> str:
 )
 def test_an_integer_flag_too_long_to_convert_exits_2(argv, capsys):
     # refused as a spec literal of that many digits is, by one short line
-    # that names the digit count instead of echoing every digit
-    assert run_cli([*argv, "9" * 5000]) == (2, "")
-    assert _one_line_error(capsys) == f"error: {argv[-1]} of 5000 digits is too long\n"
+    # that names the digit count instead of echoing every digit; the "_"
+    # separators that int() reads between digits are not counted
+    for value, digits in (("9" * 5000, 5000), ("1_" * 4400 + "1", 4401)):
+        assert run_cli([*argv, value]) == (2, "")
+        expected = f"error: {argv[-1]} of {digits} digits is too long\n"
+        assert _one_line_error(capsys) == expected
+    # a separator that int() refuses leaves it no integer at all
+    assert run_cli([*argv, "9" * 5000 + "_"]) == (2, "")
+    assert "must be an integer" in _one_line_error(capsys)
 
 
 @pytest.mark.parametrize(

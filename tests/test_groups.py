@@ -24,7 +24,6 @@ from latdeg import (
     order_cap,
     quotient,
     sd_group,
-    ssd_cyclic,
     ssd_group,
     ssd_multi,
     xi,
@@ -181,6 +180,19 @@ def test_quotient():
     reflection = next(a for a in range(1, 6) if s3.table[a][a] == 0)
     with pytest.raises(ValueError):
         quotient(_closure(s3, [reflection]))
+    # the identity with every element of one order is a union of classes,
+    # so conjugation keeps it, but it is no subgroup and has no cosets:
+    # the transpositions of S(3), the 3-cycles of S(4)
+    for g, order, size in ((s3, 2, 4), (make_symmetric(4), 3, 9)):
+        power = [0] * g.order
+        for _ in range(order):
+            power = [g.table[p][a] for a, p in enumerate(power)]
+        elements = {a for a in range(g.order) if power[a] == 0}
+        assert len(elements) == size
+        assert oracles.conjugates(g.table, elements) == {frozenset(elements)}
+        assert oracles.closure(g.table, elements) != elements
+        with pytest.raises(ValueError, match="^element set is not a subgroup$"):
+            quotient(Subgroup(sum(1 << a for a in elements), g))
 
 
 def test_commutator_examples():
@@ -577,9 +589,6 @@ _INTEGER_INPUTS = {
         ValueError, BudgetExceeded,
     ),
     "xi": (lambda v: xi(_S3_LATTICE, v), "element index", ValueError, ValueError),
-    "ssd_cyclic": (
-        lambda v: ssd_cyclic(_S3_LATTICE, v), "element index", ValueError, ValueError
-    ),
     "builtin_groups_up_to": (
         builtin_groups_up_to, "max_order", ("ok", []), OrderCapExceeded
     ),

@@ -17,7 +17,6 @@ from latdeg import (
     characters,
     claims,
     cli,
-    commutator_subgroup,
     d_multi,
     d_pair,
     degrees,
@@ -30,9 +29,7 @@ from latdeg import (
     make_quaternion,
     make_symmetric,
     normal_subgroups,
-    permutes,
     quotient,
-    ssd_cyclic,
     ssd_multi,
     xi,
 )
@@ -52,7 +49,6 @@ PUBLIC_API = [
     "bracket_table",
     "builtin_groups_up_to",
     "class_count",
-    "commutator_subgroup",
     "d_group",
     "d_multi",
     "d_pair",
@@ -66,12 +62,10 @@ PUBLIC_API = [
     "make_symmetric",
     "normal_subgroups",
     "order_cap",
-    "permutes",
     "quotient",
     "run_claim",
     "run_suite",
     "sd_group",
-    "ssd_cyclic",
     "ssd_group",
     "ssd_multi",
     "xi",
@@ -279,92 +273,79 @@ def test_enumeration_matches_subset_filter_on_tiny_groups():
 
 
 def test_permutes_examples():
+    # bit j of lat.perm_rows[i] is set iff L_i L_j = L_j L_i
     s3 = make_symmetric(3)
     lat = enumerate_subgroups(s3)
-    a3 = next(s for s in lat.subgroups if s.size == 3)
-    t1, t2 = [s for s in lat.subgroups if s.size == 2][:2]
-    assert permutes(t1, a3)
-    assert not permutes(t1, t2)
-    assert permutes(t1, t1)
+    a3 = next(i for i, s in enumerate(lat) if s.size == 3)
+    t1, t2 = [i for i, s in enumerate(lat) if s.size == 2][:2]
+    assert lat.perm_rows[t1] >> a3 & 1
+    assert not lat.perm_rows[t1] >> t2 & 1
+    assert lat.perm_rows[t1] >> t1 & 1
 
 
 def test_permutes_iff_product_is_subgroup(builtin16):
+    # the permuting rows against the product sets formed element by
+    # element: HK = KH exactly when HK is a subgroup
     for g, lat in builtin16:
         masks = set(lat.index_of)
-        for h in lat.subgroups:
-            for k in lat.subgroups:
+        for i, h in enumerate(lat):
+            for j, k in enumerate(lat):
                 hk = oracles.product_set(g.table, h.members(), k.members())
+                kh = oracles.product_set(g.table, k.members(), h.members())
                 is_sub = sum(1 << x for x in hk) in masks
-                assert permutes(h, k) == is_sub
+                assert (hk == kh) == is_sub
+                assert lat.perm_rows[i] >> j & 1 == is_sub
                 # size cross-check |HK| = |H||K|/|H n K|
                 inter = (h.mask & k.mask).bit_count()
                 assert len(hk) * inter == h.size * k.size
 
 
 def test_commutator_subgroup_examples():
+    # [L_i, L_j] is the member at lat.brackets[i][j]
     s3 = make_symmetric(3)
-    assert commutator_subgroup(s3.full_subgroup(), s3.full_subgroup()).size == 3
-    assert commutator_subgroup(s3.full_subgroup(), Subgroup(1, s3)).size == 1
+    lat = enumerate_subgroups(s3)
+    full = len(lat) - 1
+    assert lat[lat.brackets[full][full]].size == 3
+    assert lat[lat.brackets[full][0]].size == 1
     q8 = make_quaternion()
-    i_sub = _sub(q8, [1])
-    j_sub = _sub(q8, [4])
-    center = commutator_subgroup(i_sub, j_sub)
+    latq = enumerate_subgroups(q8)
+    i, j = latq.index(_sub(q8, [1])), latq.index(_sub(q8, [4]))
+    center = latq[latq.brackets[i][j]]
     assert center.size == 2
     assert set(center.members()) == {0, 2}
 
 
-def test_commutator_subgroup_rejects_element_sets():
-    s3 = make_symmetric(3)
-    five = Subgroup(0b011111, s3)  # 5 does not divide 6
-    with pytest.raises(ValueError):
-        commutator_subgroup(five, s3.full_subgroup())
-    with pytest.raises(ValueError):
-        commutator_subgroup(s3.full_subgroup(), five)
-
-
 def test_commutator_subgroup_matches_oracle(builtin16):
+    # the commuting rows hold the pairs whose commutator subgroup, formed
+    # element by element, is trivial
     for g, lat in builtin16:
-        if g.order > 12:
-            continue
-        for h in lat.subgroups:
-            for k in lat.subgroups:
+        for i, h in enumerate(lat):
+            for j, k in enumerate(lat):
                 expected = oracles.commutator_subgroup(
                     g.table, h.members(), k.members()
                 )
-                assert set(commutator_subgroup(h, k).members()) == set(expected)
-
-
-def test_commutator_symmetric_as_subgroup(builtin16):
-    for g, lat in builtin16:
-        for h in lat.subgroups:
-            for k in lat.subgroups:
-                assert commutator_subgroup(h, k) == commutator_subgroup(k, h)
-
-
-def test_trivial_bracket_implies_permutes(builtin16):
-    for g, lat in builtin16:
-        for h in lat.subgroups:
-            for k in lat.subgroups:
-                if commutator_subgroup(h, k).size == 1:
-                    assert permutes(h, k)
+                assert lat.phi_rows[i] >> j & 1 == (expected == {0})
 
 
 def test_permutes_without_trivial_bracket_in_modular_27():
     m27 = make_modular(3, 3)
     lat = enumerate_subgroups(m27)
     witnesses = [
-        (h, k)
-        for h in lat.subgroups
-        for k in lat.subgroups
-        if permutes(h, k) and commutator_subgroup(h, k).size > 1
+        (i, j)
+        for i in range(len(lat))
+        for j in range(len(lat))
+        if lat.perm_rows[i] >> j & 1 and lat.brackets[i][j] != 0
     ]
     assert witnesses
     # the two presentation generators are such a pair
-    x = _sub(m27, [1])
-    y = _sub(m27, [9])
-    assert x.size == 9 and y.size == 3
-    assert permutes(x, y)
-    assert commutator_subgroup(x, y).size > 1
+    x, y = lat.index(_sub(m27, [1])), lat.index(_sub(m27, [9]))
+    assert lat[x].size == 9 and lat[y].size == 3
+    assert (x, y) in witnesses
+    xs, ys = lat[x].members(), lat[y].members()
+    assert oracles.product_set(m27.table, xs, ys) == oracles.product_set(
+        m27.table, ys, xs
+    )
+    assert oracles.commutator_subgroup(m27.table, xs, ys) != {0}
 
 
 def test_centralizer_examples():
@@ -516,8 +497,6 @@ def test_subgroups_of_another_group_are_refused():
         "ssd_multi": lambda: ssd_multi(lat, c, 1),
         "ssd_multi codomain": lambda: ssd_multi(lat, own, 1, codomain=c),
         "d_pair": lambda: d_pair(own, c),
-        "permutes": lambda: permutes(c, own),
-        "commutator_subgroup": lambda: commutator_subgroup(own, c),
         "d_multi": lambda: d_multi(d3, 1, within=c6.full_subgroup()),
         "Lattice.index": lambda: lat.index(c),
         "Lattice": lambda: Lattice(d3, list(enumerate_subgroups(c6))),
@@ -544,13 +523,9 @@ def test_membership_errors():
         ssd_multi(lat, Subgroup(1, d4), 1)
     with pytest.raises(ValueError):
         ssd_multi(lat, s3.full_subgroup(), 1, codomain=d4.full_subgroup())
-    with pytest.raises(ValueError):
-        permutes(Subgroup(1, s3), d4.full_subgroup())
     # element indices are checked against the lattice's own group
     for element in (-1, s3.order, 7):
         with pytest.raises(ValueError):
             xi(lat, element)
-        with pytest.raises(ValueError):
-            ssd_cyclic(lat, element)
     with pytest.raises(ValueError):
         xi(enumerate_subgroups(make_cyclic(4)), 6)
