@@ -4,7 +4,8 @@ Element sets are arbitrary-precision ints with bit ``i`` standing for
 element ``i``.  Every kernel but one takes a prepared table handle as
 returned by :func:`prepare_table`; the fold
 :func:`count_trivial_iterated_commutators` takes a bracket table of
-either elements or lattice members, with 0 the trivial value.
+either elements or lattice members, with 0 the trivial value, and
+weights over the domain's values.
 
 The rest of latdeg calls the kernels through this module
 (``kernels.closure_mask(...)``), so a name rebound here, as
@@ -333,9 +334,9 @@ def sum_centralizer_orders(tab: Table, hmask: int, kmask: int) -> int:
 
 
 def count_trivial_iterated_commutators(
-    table, rows, dom_mask: int, cod_mask: int, n: int
+    table, rows, jz, weights: dict[int, int], cod_mask: int, n: int
 ) -> int:
-    """Tuples (x_1, ..., x_n, y), x_i from ``dom_mask`` and y from
+    """Tuples (x_1, ..., x_n, y), x_i from a domain and y from
     ``cod_mask``, whose left-normed bracket [x_1, ..., x_n, y] is
     trivial; n >= 1.
 
@@ -343,33 +344,43 @@ def count_trivial_iterated_commutators(
     position of [a, b], ``rows[a]`` the mask of the b with [a, b]
     trivial, and 0 is the trivial value.  The elements of a group with
     their commutators, and the members of a lattice with their
-    commutator subgroups, are both such tables.
+    commutator subgroups, are both such tables.  ``jz`` reduces a value
+    to one that brackets like it: [a, b] = [jz[a], jz[b]], and ``rows``
+    and ``table`` are only read at reduced values.  ``weights[t]`` is
+    the number of domain entries x with jz[x] = t.  The lattice reduces
+    a member H to HZ, its join with the centre; the elements are their
+    own reductions, each of weight 1.
 
-    Folds over bracket values rather than tuples: ``counts`` maps each
-    value of [x_1, ..., x_i] to the number of prefixes reaching it, and
-    the last entry is counted at once from the value's row.  The x
-    commuting with a value bracket to 0; where they are most of the
-    domain, they are counted at once from the row and only the rest are
-    looked up in the table.
+    Folds over reduced bracket values rather than tuples: ``counts``
+    maps each value of [x_1, ..., x_i], reduced, to the number of
+    prefixes reaching it, and the last entry is counted at once from
+    the value's row.  The domain values commuting with a value bracket
+    to jz[0]; where they are most of the domain, they are counted at
+    once from the row and only the rest are looked up in the table.
     """
-    dom = bit_positions(dom_mask)
-    counts = {i: 1 for i in dom}
+    dom_mask = sum(1 << t for t in weights)
+    total = sum(weights.values())
+    trivial = jz[0]
+    counts = weights
     for _ in range(n - 1):
         folded: dict[int, int] = {}
         for state, c in counts.items():
-            commuting = rows[state] & dom_mask
-            n_commuting = commuting.bit_count()
-            # listing the other j costs more than a table lookup per j, so
-            # it only pays when most of the domain commutes with the state
-            if 2 * n_commuting > len(dom):
-                folded[0] = folded.get(0, 0) + c * n_commuting
-                js = bit_positions(dom_mask & ~commuting)
-            else:
-                js = dom
             row = table[state]
-            for j in js:
-                t = row[j]
-                folded[t] = folded.get(t, 0) + c
+            others = dom_mask & ~rows[state]
+            # listing the other values costs more than a table lookup per
+            # value, so it only pays when most of the domain commutes
+            if 2 * others.bit_count() < len(weights):
+                rest = 0
+                for t in bit_positions(others):
+                    w = weights[t]
+                    rest += w
+                    v = jz[row[t]]
+                    folded[v] = folded.get(v, 0) + c * w
+                folded[trivial] = folded.get(trivial, 0) + c * (total - rest)
+            else:
+                for t, w in weights.items():
+                    v = jz[row[t]]
+                    folded[v] = folded.get(v, 0) + c * w
         counts = folded
     return sum(c * (rows[state] & cod_mask).bit_count() for state, c in counts.items())
 

@@ -119,13 +119,14 @@ class _Context:
     def quotient_stats(self, n_idx: int) -> tuple[int, Fraction]:
         """(lattice size, ssd) of the quotient by a normal member N, read
         off the parent lattice: by the correspondence theorem L(G/N) is
-        the up-set of N, and [H/N, K/N] = 1 iff [H, K] <= N."""
+        the up-set of N, and [H/N, K/N] = 1 iff [H, K] <= N.  [H, K] is
+        read off the bracket block at HZ, with Z = Z(G)."""
         if n_idx not in self._quotients:
             lat = self.lattice
-            brackets = degrees.bracket_table(lat)
+            jz, block = degrees.bracket_table(lat)
             above = bit_positions(lat.up[n_idx])
             inside = lat.down[n_idx]
-            count = sum(inside >> brackets[i][j] & 1 for i in above for j in above)
+            count = sum(inside >> block[jz[i]][j] & 1 for i in above for j in above)
             self._quotients[n_idx] = (len(above), Fraction(count, len(above) ** 2))
         return self._quotients[n_idx]
 

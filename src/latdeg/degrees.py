@@ -11,7 +11,11 @@ optional; it refuses a ``K`` of another group.
 d_n and ssd_n count the same thing, tuples whose left-normed bracket
 is trivial, over elements and over lattice members.  Both hand their
 bracket table to the one fold,
-``_kernels.count_trivial_iterated_commutators``.
+``_kernels.count_trivial_iterated_commutators``, with weights over the
+domain's values: d_n weighs each element 1, and ssd_n folds through the
+centre Z(G), over the block of :func:`bracket_table`, weighing each
+member above Z(G) by the number of domain members whose join with Z(G)
+it is.
 
 The depth n and the depth settings pass the one check of an integer
 input, ``groups._parameter``: a bool or a non-integer raises ValueError,
@@ -22,10 +26,11 @@ got 5").
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from latdeg import _kernels as kernels
-from latdeg.groups import Group, Subgroup, _parameter, same_group
+from latdeg.groups import Group, Subgroup, _parameter, bit_positions, same_group
 from latdeg.lattice import Lattice
 
 MULTI_N_CAP = 4
@@ -78,7 +83,12 @@ def d_multi(g: Group, n: int, *, within: Subgroup | None = None) -> Fraction:
     mask = within.mask if within is not None else (1 << g.order) - 1
     ktab = g.ktab
     good = kernels.count_trivial_iterated_commutators(
-        ktab.commutators(), ktab.centralizers(), mask, mask, n
+        ktab.commutators(),
+        ktab.centralizers(),
+        tuple(range(g.order)),
+        dict.fromkeys(bit_positions(mask), 1),
+        mask,
+        n,
     )
     return Fraction(good, size ** (n + 1))
 
@@ -108,16 +118,18 @@ def ssd_group(lat: Lattice) -> Fraction:
     return Fraction(sum(r.bit_count() for r in rows), len(lat) ** 2)
 
 
-def bracket_table(lat: Lattice) -> tuple[tuple[int, ...], ...]:
-    """All pairwise commutator subgroups as lattice positions:
-    ``lat.brackets``, whose entry [i][j] is the position of [L_i, L_j].
+def bracket_table(lat: Lattice) -> tuple[tuple[int, ...], tuple]:
+    """``lat.bracket_block``: (jz, block), with jz[i] the position of
+    L_i v Z(G) and block[a][b] the position of [L_a, L_b] for every a
+    above Z(G) and every b; [L_i, L_j] is block[jz[i]][jz[j]].
 
-    Each entry is computed as written (the normal closure of the
-    generator commutators [x, y] with x from the row subgroup), without
-    assuming symmetry; [A,B] = [B,A] holds group-theoretically and is
-    asserted by the test suite instead.
+    Each entry over the members above Z(G) is computed as written (the
+    normal closure of the generator commutators [x, y] with x from the
+    row subgroup), without assuming symmetry; [A,B] = [B,A] holds
+    group-theoretically and is asserted by the test suite instead.  The
+    dense table is ``lat.brackets``, built from the block on request.
     """
-    return lat.brackets
+    return lat.bracket_block
 
 
 def ssd_multi(
@@ -131,9 +143,11 @@ def ssd_multi(
     subgroups of H and K from the subgroups of ``codomain`` (the whole
     group by default).
 
-    The left-normed bracket is folded through the lattice bracket table
-    over intermediate subgroup values, which matches direct tuple
-    enumeration exactly; the trivial member is position 0.
+    The left-normed bracket is folded through the block of
+    :func:`bracket_table` over intermediate subgroup values, which
+    matches direct tuple enumeration exactly.  A bracket reads only the
+    joins of its entries with Z(G), so the fold runs over the members
+    above Z(G), the subgroups L of H weighted by how many share L v Z(G).
 
     The fold's counts grow to about n log2 |L| bits, so depths above
     MULTI_N_CAP raise BudgetExceeded; an ``n`` that is not an integer, a
@@ -145,7 +159,9 @@ def ssd_multi(
         cod_mask = (1 << len(lat)) - 1
     else:
         cod_mask = lat.down[lat.index(codomain)]
+    jz, block = bracket_table(lat)
+    weights = Counter(jz[i] for i in bit_positions(dom_mask))
     numerator = kernels.count_trivial_iterated_commutators(
-        bracket_table(lat), phi_rows(lat), dom_mask, cod_mask, n
+        block, phi_rows(lat), jz, weights, cod_mask, n
     )
     return Fraction(numerator, dom_mask.bit_count() ** n * cod_mask.bit_count())

@@ -10,12 +10,19 @@ A :class:`Lattice` owns the data derived from its group and order
 relation: the up-set and down-set of every member, the position of each
 cyclic subgroup <e>, joins, the conjugacy class of every member (as the
 position of the lowest member in it), the normal members (those alone
-in their class), and the permutability, commuting and bracket tables,
-each a ``cached_property``: built on first use, then held as an
-instance attribute.  It is the one handle on a group's subgroups:
-the degree, character and claim code takes a lattice and reads its
-group from ``lat.group``, and a question about a pair of members
-(does HK = KH, is [H, K] = 1, what is [H, K]) is read off its rows.
+in their class), the permutability and commuting tables, and the
+bracket block, each a ``cached_property``: built on first use, then
+held as an instance attribute.  It is the one handle on a group's
+subgroups: the degree, character and claim code takes a lattice and
+reads its group from ``lat.group``, and a question about a pair of
+members (does HK = KH, is [H, K] = 1, what is [H, K]) is read off its
+rows.
+
+[H, K] = [HZ, KZ] with Z the centre of the group, so the commutator
+subgroups are computed for the members above Z only, the bracket block,
+and every other pair reads the block through its joins with Z.  The
+dense |L| x |L| table ``brackets`` is built from the block only when a
+caller asks for it.
 """
 
 from __future__ import annotations
@@ -188,19 +195,46 @@ class Lattice:
         )
 
     @cached_property
-    def brackets(self) -> tuple[tuple[int, ...], ...]:
-        """brackets[i][j]: the position of [L_i, L_j], each entry computed
-        as written, without assuming symmetry: the normal closure in
-        <L_i, L_j> of the generator commutators [x, y] with x from the
-        generators recorded for L_i and y from those for L_j, one kernel
-        call per ordered pair."""
+    def bracket_block(self) -> tuple[tuple[int, ...], tuple]:
+        """(jz, block): the bracket table folded through the centre Z(G).
+
+        jz[i] is the position of L_i v Z.  For z in Z, [hz, k] = [h, k] =
+        [h, kz] (Robinson, A Course in the Theory of Groups, 5.1.5), so
+        [L_i, L_j] = [L_jz[i], L_jz[j]], and the commutator subgroups of
+        the members above Z fix every other.  block[a], for a above Z,
+        is the row of [L_a, L_b] over every position b, read off the
+        members above Z through jz; block[a] is None for the other a.
+
+        Each entry over the members above Z is computed as written,
+        without assuming symmetry: the normal closure in <L_a, L_b> of
+        the generator commutators [x, y] with x from the generators
+        recorded for L_a and y from those for L_b, one kernel call per
+        ordered pair of members above Z.
+        """
         ktab = self.group.ktab
         bracket = kernels.commutator_closure_mask
         masks = [s.mask for s in self.subgroups]
         index_of = self.index_of
-        return tuple(
-            tuple([index_of[bracket(ktab, hm, km)] for km in masks]) for hm in masks
-        )
+        z = index_of[ktab.group_centralizer((1 << self.group.order) - 1)]
+        jz = tuple(self.join(i, z) for i in range(len(masks)))
+        above = bit_positions(self.up[z])
+        cols = [0] * len(masks)
+        block: list[tuple[int, ...] | None] = [None] * len(masks)
+        for a in above:
+            for b in above:
+                cols[b] = index_of[bracket(ktab, masks[a], masks[b])]
+            block[a] = tuple([cols[t] for t in jz])
+        return jz, tuple(block)
+
+    @cached_property
+    def brackets(self) -> tuple[tuple[int, ...], ...]:
+        """brackets[i][j]: the position of [L_i, L_j], the dense table,
+        built only when a caller asks.  Row i is the row of L_i v Z in
+        :attr:`bracket_block`, shared by every member with that join, so
+        the table adds one pointer per member to the block.  Nothing in
+        latdeg reads it."""
+        jz, block = self.bracket_block
+        return tuple([block[t] for t in jz])
 
 
 def enumerate_subgroups(g: Group, *, cap: int | None = None) -> Lattice:

@@ -290,14 +290,18 @@ def test_tall_degrees_report_is_byte_identical_to_the_golden_report():
          "7a4a4e5ef982054d6942d7cb0fcc698a7434d838e8d3cb5d5385be2e6ad89b11"),
         (["C(2)"] * 6,
          "255d7b7a572d267eb1e3511bbc735d03f7f6682f58e6f89f8c4ebd926109bdb8"),
+        (["S(4)", "C(2)", "C(2)"],
+         "5eca3cbaf8ee63e0469a60715d13d9b240c8ab049863f59983864a311a8eed75"),
     ],
-    ids=["D(4)xC(2)^3", "C(2)^6"],
+    ids=["D(4)xC(2)^3", "C(2)^6", "S(4)xC(2)^2"],
 )
 def test_large_degrees_reports_are_byte_identical_to_the_golden_reports(
     factors, digest
 ):
     # the ladder's groups with the largest bracket tables: 937 members, 36 %
-    # of their pairs commuting, and 2,825 members, all of them commuting
+    # of their pairs commuting, 2,825 members, all of them commuting, and
+    # 420 members of which only 30 lie above the centre, where the block
+    # the brackets are read from is smallest against the whole table
     code, out = run_cli(["degrees", "-g", " x ".join(factors)])
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

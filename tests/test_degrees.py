@@ -137,13 +137,14 @@ def test_phi():
 
 def test_bracket_table_properties(builtin16):
     for g, lat in builtin16:
-        table = bracket_table(lat)
-        assert len(table) == len(lat)
+        jz, block = bracket_table(lat)
+        table = lat.brackets
+        assert len(table) == len(jz) == len(block) == len(lat)
         for j in range(len(lat)):
             assert table[0][j] == 0
         for i in range(len(lat)):
             for j in range(len(lat)):
-                assert table[i][j] == table[j][i]
+                assert table[i][j] == table[j][i] == block[jz[i]][jz[j]]
                 # [L_i, L_j] lies inside the join of L_i and L_j
                 join = kernels.closure_mask(g.ktab, lat[i].mask | lat[j].mask)
                 assert lat[table[i][j]].mask & ~join == 0
@@ -155,7 +156,7 @@ def test_bracket_entries_match_commutator_subgroup(builtin16):
     for g, lat in builtin16:
         if g.order > 12:
             continue
-        table = bracket_table(lat)
+        table = lat.brackets
         for i, h in enumerate(lat):
             for j, k in enumerate(lat):
                 expected = oracles.commutator_subgroup(
@@ -170,7 +171,7 @@ def test_s4_bracket_table_matches_oracle():
     # closure in <H, K>
     s4 = make_symmetric(4)
     lat = enumerate_subgroups(s4)
-    table = bracket_table(lat)
+    table = lat.brackets
     sets = [set(s.members()) for s in lat]
     for i, h in enumerate(sets):
         for j, k in enumerate(sets):

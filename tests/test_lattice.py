@@ -107,8 +107,8 @@ CLASS_MEMBERS = {
         "size",
     ],
     Lattice: [
-        "__getitem__", "__init__", "__iter__", "__len__", "brackets",
-        "class_of", "cyclic", "down", "index", "join", "normal", "perm_rows",
+        "__getitem__", "__init__", "__iter__", "__len__", "bracket_block",
+        "brackets", "class_of", "cyclic", "down", "index", "join", "normal", "perm_rows",
         "phi_rows", "up",
     ],
 }
@@ -183,7 +183,7 @@ def test_enumeration_above_the_cap_is_refused():
 
 LATTICE_DERIVED = (
     "_order_relation", "up", "down", "cyclic", "class_of", "normal",
-    "perm_rows", "phi_rows", "brackets",
+    "perm_rows", "phi_rows", "bracket_block", "brackets",
 )
 COUNTED_KERNELS = (
     "prepare_table", "count_commuting_pairs", "conjugacy_class_ids",
@@ -228,6 +228,37 @@ def test_derived_data_is_computed_once_and_only_on_use(monkeypatch):
     assert all(a is b for a, b in zip(relation, (lat.up, lat.down, lat.cyclic)))
     assert set(LATTICE_DERIVED) <= set(vars(lat))
     assert calls["prepare_table"] == 1  # enumeration reused the group's table
+
+
+@pytest.mark.parametrize(
+    "spec, calls",
+    [("C(2) x C(2) x C(2) x C(2) x C(2)", 1), ("D(12) x C(2)", 16 * 16)],
+)
+def test_degrees_entry_brackets_only_the_members_above_the_centre(
+    monkeypatch, spec, calls
+):
+    # the ssd_n fold reads the block over the members above Z(G), one
+    # kernel call per ordered pair of them (C(2)^5 is its own centre; 16 of
+    # the 124 members of D(12) x C(2) lie above its centre), and leaves
+    # the dense table of |L|^2 entries unbuilt
+    made = Counter()
+    kept = []
+    bracket = kernels.commutator_closure_mask
+
+    def counted(*args):
+        made["calls"] += 1
+        return bracket(*args)
+
+    def enumerate_and_keep(*args, **kwargs):
+        kept.append(enumerate_subgroups(*args, **kwargs))
+        return kept[-1]
+
+    monkeypatch.setattr(kernels, "commutator_closure_mask", counted)
+    monkeypatch.setattr(cli, "enumerate_subgroups", enumerate_and_keep)
+    cli._degrees_entry(cli.parse_group_spec(spec), degrees.DEFAULT_N_MAX, None)
+    (lat,) = kept
+    assert made["calls"] == calls
+    assert "bracket_block" in vars(lat) and "brackets" not in vars(lat)
 
 
 def test_dihedral_lattice_sizes():

@@ -167,13 +167,42 @@ def test_phi_rows_match_oracle(labels):
 @given(labels=group_labels(max_order=32))
 def test_bracket_table_matches_oracle_and_is_symmetric(labels):
     group, lat = group_and_lattice(labels)
-    table = degrees.bracket_table(lat)
+    table = lat.brackets
     sets = [_set(s.mask) for s in lat]
     for i, h in enumerate(sets):
         for j, k in enumerate(sets):
             assert table[i][j] == table[j][i]
             expected = oracles.commutator_subgroup(group.table, h, k)
             assert lat[table[i][j]].mask == _mask(expected)
+
+
+# products whose centre is not trivial, so that some members lie above it
+# and others do not
+CENTRED = [("D(4)", "C(2)"), ("Q8", "C(3)"), ("D(12)", "C(2)")]
+
+
+@few
+@given(labels=st.sampled_from(CENTRED), data=st.data())
+def test_bracket_block_fixes_every_bracket_through_the_centre(labels, data):
+    # [H, K] = [HZ, KZ] with Z = Z(G), so the dense table is the block of
+    # the members above Z read through jz, and jz[i] is L_i v Z
+    group, lat = group_and_lattice(labels)
+    jz, block = degrees.bracket_table(lat)
+    everything = frozenset(range(group.order))
+    centre = _mask(oracles.centralizer(group.table, everything, everything))
+    assert centre != 1
+    masks = [s.mask for s in lat]
+    for i, m in enumerate(masks):
+        assert masks[jz[i]] == _mask(oracles.closure(group.table, _set(m | centre)))
+        assert (block[i] is not None) == (m & centre == centre)
+    for i, row in enumerate(lat.brackets):
+        assert row == tuple(block[jz[i]][jz[j]] for j in range(len(lat)))
+    top = len(lat) - 1
+    for _ in range(10):
+        i, j = data.draw(st.integers(0, top)), data.draw(st.integers(0, top))
+        h, k = _set(masks[i]), _set(masks[j])
+        expected = oracles.commutator_subgroup(group.table, h, k)
+        assert masks[lat.brackets[i][j]] == _mask(expected)
 
 
 @few
@@ -382,10 +411,18 @@ def test_centralizer_sums_of_claims_match_oracle(labels):
 
 
 @few
-@given(labels=group_labels(max_order=32), data=st.data())
-def test_ssd_multi_matches_oracle_with_and_without_codomain(labels, data):
+@given(
+    labels=group_labels(max_order=32),
+    h_at=st.integers(0, 1 << 16),
+    k_at=st.integers(0, 1 << 16),
+)
+# in D(4) x C(2), whose centre has order 4, H = L_27 is a D(4) not above
+# the centre, whose ten members have five joins with it, of weights 2, 3,
+# 3, 1 and 1; the codomain L_12 is a Klein four-group that is not normal
+@example(labels=("D(4)", "C(2)"), h_at=27, k_at=12)
+def test_ssd_multi_matches_oracle_with_and_without_codomain(labels, h_at, k_at):
     group, lat = group_and_lattice(labels)
-    h, k = (lat[data.draw(st.integers(0, len(lat) - 1))] for _ in range(2))
+    h, k = lat[h_at % len(lat)], lat[k_at % len(lat)]
     below_h, below_k = (lat.down[lat.index(s)].bit_count() for s in (h, k))
     for n in (1, 2, 3):
         # the oracle forms |L(H)|^n (n - 1 + |L(K)|) commutator subgroups
