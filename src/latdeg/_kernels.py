@@ -16,8 +16,6 @@ so such a rebinding counts only the calls made from outside.
 
 from __future__ import annotations
 
-import operator
-
 
 def bit_positions(mask: int) -> list[int]:
     """Positions of the set bits of ``mask``, ascending."""
@@ -34,11 +32,8 @@ class Table:
     kernels learn about it as they run:
 
     - the element commutators and the per-element centralizers;
-    - C_G(H) per subgroup H;
     - the generators and elements recorded for every subgroup a closure
       returned;
-    - for the commutator kernel, the seed columns of each subgroup H it
-      asked for as its first argument with a K outside C_G(H);
     - the closures the commutator kernel asked for, keyed by their
       generating mask, and N_G(N) for every subgroup N they returned.
 
@@ -46,9 +41,8 @@ class Table:
     with its kernels, so callers must not mutate it."""
 
     __slots__ = (
-        "n", "rows", "inv", "_commutators", "_centralizers",
-        "_group_centralizer", "_subgroups", "_seed_columns", "_closures",
-        "_normalizers",
+        "n", "rows", "inv", "_commutators", "_centralizers", "_subgroups",
+        "_closures", "_normalizers",
     )
 
     def __init__(self, rows):
@@ -57,9 +51,7 @@ class Table:
         self.inv = [row.index(0) for row in rows]
         self._commutators: list[list[int]] | None = None
         self._centralizers: list[int] | None = None
-        self._group_centralizer: dict[int, int] = {}
         self._subgroups: dict[int, tuple[list[int], list[int]]] = {1: ([], [0])}
-        self._seed_columns: dict[int, list[int]] = {}
         self._closures: dict[int, int] = {}
         self._normalizers: dict[int, int] = {}
 
@@ -88,17 +80,6 @@ class Table:
                 cent.append(m)
             self._centralizers = cent
         return self._centralizers
-
-    def group_centralizer(self, hmask: int) -> int:
-        """Mask of C_G(H) for the element set ``hmask``, memoized."""
-        out = self._group_centralizer.get(hmask)
-        if out is None:
-            cent = self.centralizers()
-            out = (1 << self.n) - 1
-            for h in bit_positions(hmask):
-                out &= cent[h]
-            self._group_centralizer[hmask] = out
-        return out
 
     def record(self, hmask: int) -> tuple[list[int], list[int]]:
         """Generators and elements of the subgroup ``hmask``, as recorded
@@ -196,19 +177,6 @@ def product_mask(tab: Table, amask: int, bmask: int) -> int:
     return out
 
 
-def _seed_row(tab: Table, hmask: int) -> list[int]:
-    """Seed columns of the subgroup ``hmask``, memoized: cols[y] is the
-    mask of the commutators [x, y], x over the generators recorded for
-    it, for every element y."""
-    comm = tab.commutators()
-    shift = (1).__lshift__
-    cols = [0] * tab.n
-    for x in tab.generators(hmask):
-        cols = list(map(operator.or_, cols, map(shift, comm[x])))
-    tab._seed_columns[hmask] = cols
-    return cols
-
-
 def _normalizer(tab: Table, nmask: int) -> int:
     """Mask of N_G(N) for the subgroup ``nmask``, memoized: g normalizes N
     iff it maps the generators s recorded for N into N, that is iff
@@ -228,7 +196,8 @@ def _normalizer(tab: Table, nmask: int) -> int:
 def commutator_closure_mask(tab: Table, hmask: int, kmask: int) -> int:
     """[H, K] for the subgroups ``hmask`` and ``kmask``, from generators.
 
-    Both masks must be subgroups.  With X and Y generating H and K and
+    Both masks must be subgroups; any other element set raises
+    ValueError.  With X and Y generating H and K and
     S = {[x, y] : x in X, y in Y}, where [x, y] = x^-1 y^-1 x y,
 
         <S> <= [H, K] = <S>^<H, K>,
@@ -238,41 +207,27 @@ def commutator_closure_mask(tab: Table, hmask: int, kmask: int) -> int:
     generators recorded for H and K, at most log2 of the order each, so
     no element pair of H x K is formed.
 
-    The table memoizes C_G(H), so a pair with K in C_G(H) is trivial at
-    one mask test.  At the first other pair of the row H, the table
-    memoizes its seed columns: for every element y, the mask of the
-    [x, y] with x in X.  S is then the union of the columns of Y.  <S>
-    comes from a per-table memo of closures keyed by their generating
-    mask, and N_G(<S>) from a per-table memo of normalizers, filled once
-    per closure.  When H and K lie in N_G(<S>), so does <H, K>, and <S>
-    is [H, K].  Otherwise the normal closure grows from N = <S>: N
-    becomes the closure of N and the conjugates of its generators by the
-    elements of X u Y outside N_G(N), extended from N and memoized the
-    same way, until H and K normalize it.  Every such N lies in [H, K],
-    which <H, K> normalizes, so the last one is [H, K].
+    One loop grows the normal closure.  N starts as <S>.  While H or K
+    lies outside N_G(N), N becomes the closure of N and the conjugates
+    of its generators by the elements of X u Y outside N_G(N), extended
+    from N.  Every such N lies in [H, K], which <H, K> normalizes, so
+    the first N that H and K normalize is [H, K].  A commuting pair has
+    S = {1}, so its first N is 1.  The table memoizes each closure,
+    keyed by its generating mask, and N_G(N) once per closure, so the
+    pairs of a lattice that share a seed set close it once.
     """
-    try:
-        cent = tab._group_centralizer[hmask]
-    except KeyError:
-        cent = tab.group_centralizer(hmask)
-    if kmask & cent == kmask:
-        return 1
-    cols = tab._seed_columns.get(hmask) or _seed_row(tab, hmask)
-    try:
-        kgens = tab._subgroups[kmask][0]
-    except KeyError:
-        kgens = tab.generators(kmask)
+    hgens = tab.generators(hmask)
+    kgens = tab.generators(kmask)
+    comm = tab.commutators()
     seeds = 1
-    for y in kgens:
-        seeds |= cols[y]
-    closures = tab._closures
-    group = closures.get(seeds)
-    # the loop below memoizes the normalizer of every closure it memoizes
-    if group is not None and not (hmask | kmask) & ~tab._normalizers[group]:
-        return group
+    for x in hgens:
+        row = comm[x]
+        for y in kgens:
+            seeds |= 1 << row[y]
     rows = tab.rows
     inv = tab.inv
-    conjugators = tab.generators(hmask) + kgens
+    closures = tab._closures
+    conjugators = hgens + kgens
     group = 1
     pending = seeds
     while True:
@@ -304,7 +259,10 @@ def conjugate_mask(tab: Table, mask: int, g: int) -> int:
 
 def centralizer_mask(tab: Table, kmask: int, hmask: int) -> int:
     """Elements of K commuting with every element of H."""
-    return kmask & tab.group_centralizer(hmask)
+    cent = tab.centralizers()
+    for h in bit_positions(hmask):
+        kmask &= cent[h]
+    return kmask
 
 
 def conjugacy_class_ids(tab: Table) -> list:

@@ -20,9 +20,12 @@ rows.
 
 [H, K] = [HZ, KZ] with Z the centre of the group, so the commutator
 subgroups are computed for the members above Z only, the bracket block,
-and every other pair reads the block through its joins with Z.  The
-dense |L| x |L| table ``brackets`` is built from the block only when a
-caller asks for it.
+and every other pair reads the block through its joins with Z.  Z is
+read off the lattice's own commuting rows: the top member of the last
+row, that of G, is C_G(G).  Each entry of the block is one call of the
+one bracket kernel, ``_kernels.commutator_closure_mask``.  The dense
+|L| x |L| table ``brackets`` is built from the block only when a caller
+asks for it.
 """
 
 from __future__ import annotations
@@ -198,12 +201,15 @@ class Lattice:
     def bracket_block(self) -> tuple[tuple[int, ...], tuple]:
         """(jz, block): the bracket table folded through the centre Z(G).
 
-        jz[i] is the position of L_i v Z.  For z in Z, [hz, k] = [h, k] =
-        [h, kz] (Robinson, A Course in the Theory of Groups, 5.1.5), so
-        [L_i, L_j] = [L_jz[i], L_jz[j]], and the commutator subgroups of
-        the members above Z fix every other.  block[a], for a above Z,
-        is the row of [L_a, L_b] over every position b, read off the
-        members above Z through jz; block[a] is None for the other a.
+        Z is read off :attr:`phi_rows`: the last row holds the members
+        inside C_G(G) = Z, and positions ascend with size, so its top
+        member is Z.  jz[i] is the position of L_i v Z.  For z in Z,
+        [hz, k] = [h, k] = [h, kz] (Robinson, A Course in the Theory of
+        Groups, 5.1.5), so [L_i, L_j] = [L_jz[i], L_jz[j]], and the
+        commutator subgroups of the members above Z fix every other.
+        block[a], for a above Z, is the row of [L_a, L_b] over every
+        position b, read off the members above Z through jz; block[a] is
+        None for the other a.
 
         Each entry over the members above Z is computed as written,
         without assuming symmetry: the normal closure in <L_a, L_b> of
@@ -215,7 +221,7 @@ class Lattice:
         bracket = kernels.commutator_closure_mask
         masks = [s.mask for s in self.subgroups]
         index_of = self.index_of
-        z = index_of[ktab.group_centralizer((1 << self.group.order) - 1)]
+        z = self.phi_rows[-1].bit_length() - 1
         jz = tuple(self.join(i, z) for i in range(len(masks)))
         above = bit_positions(self.up[z])
         cols = [0] * len(masks)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
+
 import oracles
 from latdeg import _kernels as kernels
 from latdeg.groups import make_symmetric
@@ -80,11 +82,21 @@ def test_bracket_row_gives_one_answer_before_and_after_it_is_filled():
     d8 = _s4_subgroup(tab, (1, 0, 2, 3), (2, 3, 0, 1))
     k = _s4_subgroup(tab, (0, 2, 3, 1))
     expected = oracles.commutator_subgroup(table, _members(d8), _members(k))
-    assert d8 not in tab._seed_columns
+    # a fresh table: no closure or normalizer of the kernel is memoized
+    assert not tab._closures and not tab._normalizers
     assert kernels.commutator_closure_mask(tab, d8, k) == _mask(expected)
-    # the row now holds its seed columns; fill the memos from every other
-    # pair of the row, then ask again
-    assert tab._seed_columns[d8]
+    # fill the memos from every pair of the row, then ask again
     for a in range(24):
         kernels.commutator_closure_mask(tab, d8, kernels.closure_mask(tab, 1 << a))
+    assert tab._closures and tab._normalizers
     assert kernels.commutator_closure_mask(tab, d8, k) == _mask(expected)
+
+
+def test_bracket_refuses_an_element_set_that_is_not_a_subgroup():
+    # {0, 1, 2} is not a subgroup of S(3), and the trivial group commutes
+    # with it, so no commutator of the pair can show the fault
+    tab = kernels.prepare_table(make_symmetric(3).table)
+    assert kernels.closure_mask(tab, 0b111) != 0b111
+    for hmask, kmask in ((1, 0b111), (0b111, 1)):
+        with pytest.raises(ValueError, match="element set is not a subgroup"):
+            kernels.commutator_closure_mask(tab, hmask, kmask)
